@@ -11,8 +11,9 @@ also dumps one Chrome ``trace_event`` timeline of the threaded run.
 
 Since the chunk-major refactor each (field, backend) pair is measured
 twice -- ``variant="batched"`` (the default dispatch) and
-``variant="per-chunk"`` (the legacy path, forced) -- so the snapshot
-both records the speedup and keeps the old path honest.  The process
+``variant="per-chunk"`` (the same backend declining chunk-major batches,
+see :class:`PerChunkSerialBackend`) -- so the snapshot both records the
+speedup and keeps the per-chunk path honest.  The process
 pool (``procpool``) measures the batched variant only: its per-chunk
 path runs inline in the parent and would just re-measure serial.
 
@@ -65,6 +66,19 @@ from repro.telemetry import Telemetry
 log = get_logger("bench")
 
 
+class PerChunkSerialBackend(SerialBackend):
+    """Serial backend that declines chunk-major batches: every chunk runs
+    the per-chunk kernel (the ``per-chunk`` cells)."""
+
+    batch_capable = False
+
+
+class PerChunkThreadedBackend(ThreadedBackend):
+    """Thread pool that declines chunk-major batches (``per-chunk`` cells)."""
+
+    batch_capable = False
+
+
 def corpus(quick: bool) -> list[tuple[str, np.ndarray]]:
     """Deterministic fields, one per family (smaller under ``--quick``)."""
     side = 128 if quick else 512
@@ -78,14 +92,14 @@ def corpus(quick: bool) -> list[tuple[str, np.ndarray]]:
 
 def bench_one(
     name: str, data: np.ndarray, backend, backend_name: str,
-    mode: str, bound: float, repeats: int, use_batch: bool = True,
+    mode: str, bound: float, repeats: int,
 ) -> tuple[dict, Telemetry]:
     """One (field, backend, variant) cell: best-of-``repeats`` round trip."""
-    variant = "batched" if use_batch else "per-chunk"
+    variant = "batched" if backend.batch_capable else "per-chunk"
     tel = Telemetry()
     comp = PFPLCompressor(
         mode=mode, error_bound=bound, dtype=data.dtype,
-        backend=backend, telemetry=tel, use_batch=use_batch,
+        backend=backend, telemetry=tel,
     )
     enc_s, dec_s = [], []
     result = None
@@ -93,9 +107,7 @@ def bench_one(
         t0 = time.perf_counter()
         result = comp.compress(data)
         t1 = time.perf_counter()
-        recon = decompress(
-            result.data, backend=backend, telemetry=tel, use_batch=use_batch
-        )
+        recon = decompress(result.data, backend=backend, telemetry=tel)
         t2 = time.perf_counter()
         enc_s.append(t1 - t0)
         dec_s.append(t2 - t1)
@@ -295,32 +307,31 @@ def main(argv: list[str] | None = None) -> int:
     enable_logging(args.verbose)
     repeats = args.repeats or (1 if args.quick else 3)
 
+    # The procpool's per-chunk path runs inline in the parent (it would
+    # just re-measure serial), so only its batched variant is a real cell.
     backends = [
-        ("serial", SerialBackend()),
-        ("threaded", ThreadedBackend()),
-        ("procpool", ProcessPoolBackend()),
+        ("serial", (SerialBackend(), PerChunkSerialBackend())),
+        ("threaded", (ThreadedBackend(), PerChunkThreadedBackend())),
+        ("procpool", (ProcessPoolBackend(),)),
     ]
     cells = []
     trace_written = False
     for name, data in corpus(args.quick):
-        for backend_name, backend in backends:
-            # The procpool's per-chunk path runs inline in the parent
-            # (it would just re-measure serial), so only its batched
-            # variant is a real cell.
-            variants = (True,) if backend_name == "procpool" else (True, False)
-            for use_batch in variants:
+        for backend_name, variants in backends:
+            for backend in variants:
                 cell, tel = bench_one(
                     name, data, backend, backend_name, args.mode, args.bound,
-                    repeats, use_batch=use_batch,
+                    repeats,
                 )
                 cells.append(cell)
-                if (args.trace and backend_name == "threaded" and use_batch
-                        and not trace_written):
+                if (args.trace and backend_name == "threaded"
+                        and backend.batch_capable and not trace_written):
                     tel.write_chrome_trace(args.trace)
                     trace_written = True
                     log.info("wrote %d trace spans to %s", len(tel.spans), args.trace)
-    for _, backend in backends:
-        backend.close()
+    for _, variants in backends:
+        for backend in variants:
+            backend.close()
     cells.extend(bench_selection(args.quick, repeats))
     cells.extend(bench_service(args.quick))
 

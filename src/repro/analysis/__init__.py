@@ -12,8 +12,8 @@ relies on but cannot express in types:
 * nothing nondeterministic feeds the output bytes (**determinism**),
 * every failure surfaces as a :mod:`repro.errors` type
   (**error-discipline**),
-* hot paths touch telemetry only behind the ``NULL_TELEMETRY``
-  ``enabled`` check (**telemetry-discipline**).
+* instrumentation has one code path: no ``*_traced`` copy or
+  ``.enabled`` if/else twin of a codec call (**telemetry-discipline**).
 
 The companion paper *"Lessons Learned on the Path to Guaranteeing the
 Error Bound in Lossy Quantizers"* (Fallin & Burtscher) documents how

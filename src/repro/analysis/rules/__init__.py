@@ -14,8 +14,8 @@ determinism            nothing nondeterministic feeds output bytes in
                        kernel / lossless / quantizer paths
 error-discipline       failures raise the :mod:`repro.errors` hierarchy,
                        ``struct.unpack`` is always caught
-telemetry-discipline   hot paths touch telemetry behind the
-                       ``NULL_TELEMETRY`` ``enabled`` check only
+telemetry-discipline   one instrumentation path: no ``*_traced`` copy
+                       or ``.enabled`` if/else twin of a codec call
 docstring-discipline   modules and public top-level defs carry
                        docstrings (warning; gates under ``--strict``)
 buffer-escape          shared-arena views (scratch buffers,

@@ -1,51 +1,48 @@
-"""telemetry-discipline: hot paths guard telemetry with ``.enabled``.
+"""telemetry-discipline: one instrumentation path, no traced twins.
 
-The telemetry contract (PR 3): when telemetry is off, instrumented hot
-paths pay exactly one attribute check (``NULL_TELEMETRY.enabled`` is
-``False``) and then run the identical pre-telemetry code, so output
-bytes and timing are unchanged.  An unguarded ``tel.span(...)`` /
-``tel.add(...)`` in a per-chunk path would allocate a span object (or
-take the null fast path's method-call overhead) for every chunk of
-every stream even with telemetry disabled.
+The telemetry contract: every codec entry point records unconditionally
+through its telemetry object.  When telemetry is off that object is
+:data:`~repro.telemetry.NULL_TELEMETRY`, whose spans and counters are
+no-ops, so traced and untraced runs execute the *same* code and cannot
+drift apart (the spans of one per-chunk decode cost a few microseconds
+against the hundreds the decode takes).
 
-This rule checks, in the per-chunk hot-path modules, that every call to
-``span``/``add``/``chunk`` on a telemetry object is dominated by an
-``enabled`` check.  Three idioms count as guarded:
+The defect this rule catches is a re-grown *twin*: an instrumented copy
+of a code path next to the uninstrumented original.  Three shapes are
+flagged:
 
-* lexically inside ``if <...>.enabled:``,
-* the true arm of a ``... if <...>.enabled else ...`` conditional
-  expression,
-* after an early-exit guard ``if not <...>.enabled: return ...``,
-* inside a ``*_traced`` helper -- the repo convention where the hot
-  path dispatches ``if tel.enabled: return self._encode_chunk_traced``
-  and the helper owns the instrumented copy of the loop.
+* a function named ``*_traced`` -- the instrumented copy of a loop
+  whose caller dispatches ``if tel.enabled: return self._x_traced(...)``;
+* an ``if <...>.enabled:`` statement whose two arms call the same
+  function (``kernel.encode_chunk`` in both the traced and the plain
+  arm), or the same in a ``... if <...>.enabled else ...`` expression;
+* an early exit (``if not tel.enabled: return fn(item)``) whose body
+  calls a function that the statements after it call again.
 
-Closures defined lexically inside an ``.enabled`` branch inherit its
-guard: the function object only exists when telemetry is on.
+An ``.enabled`` check that guards work existing only for telemetry (no
+second arm, or arms that share no call) is not a twin and stays
+allowed.  Calls on the telemetry object itself and builtins (``len``,
+``int`` ...) never count as shared calls.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 from typing import Iterator
 
-from ..engine import Finding, Rule, Source, iter_parents, register_rule
+from ..engine import Finding, Rule, Source, register_rule
 
 __all__ = ["TelemetryDisciplineRule"]
 
-_TELEMETRY_METHODS = frozenset({
-    "span", "add", "chunk", "histogram", "record_span", "merge",
-    # Tracing helpers (PR 8): binding a trace context, opening/closing a
-    # flight-recorder entry and reading the bound context all allocate
-    # or take locks, so they follow the same guarded-hot-path contract.
-    "trace", "begin_trace", "finish_trace", "current_trace",
-})
 _TELEMETRY_NAMES = frozenset({"tel", "telemetry"})
+_BUILTINS = frozenset(dir(builtins))
 
 
-def _is_telemetry_call(node: ast.Call) -> bool:
-    func = node.func
-    if not (isinstance(func, ast.Attribute) and func.attr in _TELEMETRY_METHODS):
+def _on_telemetry(call: ast.Call) -> bool:
+    """A method call on a telemetry object (``tel.span``, ``self.telemetry.add``)."""
+    func = call.func
+    if not isinstance(func, ast.Attribute):
         return False
     base = func.value
     if isinstance(base, ast.Name):
@@ -53,6 +50,19 @@ def _is_telemetry_call(node: ast.Call) -> bool:
     if isinstance(base, ast.Attribute):
         return base.attr in _TELEMETRY_NAMES
     return False
+
+
+def _callees(nodes: list) -> set[str]:
+    """Names of the codec calls made anywhere under ``nodes``."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if not isinstance(sub, ast.Call) or _on_telemetry(sub):
+                continue
+            if isinstance(sub.func, ast.Name) and sub.func.id in _BUILTINS:
+                continue
+            out.add(ast.unparse(sub.func))
+    return out
 
 
 def _mentions_enabled(expr: ast.AST) -> bool:
@@ -68,92 +78,54 @@ def _terminates(stmts: list[ast.stmt]) -> bool:
     )
 
 
-def _is_early_exit_guard(stmt: ast.stmt) -> bool:
-    """``if not <...>.enabled: return/raise/continue`` (no else)."""
-    return (
-        isinstance(stmt, ast.If)
-        and isinstance(stmt.test, ast.UnaryOp)
-        and isinstance(stmt.test.op, ast.Not)
-        and _mentions_enabled(stmt.test.operand)
-        and _terminates(stmt.body)
-        and not stmt.orelse
-    )
-
-
-def _is_guarded(call: ast.Call) -> bool:
-    prev: ast.AST = call
-    for anc in iter_parents(call):
-        # Lexically inside the true branch of `if <...>.enabled:`.
-        if (
-            isinstance(anc, ast.If)
-            and _mentions_enabled(anc.test)
-            and not (
-                isinstance(anc.test, ast.UnaryOp)
-                and isinstance(anc.test.op, ast.Not)
-            )
-            and isinstance(prev, ast.stmt)
-            and prev in anc.body
-        ):
-            return True
-        # The true arm of `<call> if <...>.enabled else <default>` -- the
-        # one-expression form of the same dominance (used for capturing
-        # the bound trace context at submit time).
-        if (
-            isinstance(anc, ast.IfExp)
-            and _mentions_enabled(anc.test)
-            and prev is anc.body
-        ):
-            return True
-        # After an early exit `if not <...>.enabled: return ...` in any
-        # enclosing statement list.
-        for fieldname in ("body", "orelse", "finalbody"):
-            stmts = getattr(anc, fieldname, None)
-            if isinstance(stmts, list) and isinstance(prev, ast.stmt) and prev in stmts:
-                if any(_is_early_exit_guard(s) for s in stmts[: stmts.index(prev)]):
-                    return True
-        if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            # A `*_traced` helper is the designated instrumented copy of
-            # a hot loop; its caller owns the .enabled dispatch.
-            if anc.name.endswith("_traced"):
-                return True
-            # Otherwise keep walking: a closure whose *definition* sits
-            # inside an `.enabled` branch is itself guarded (the def
-            # only executes when telemetry is on).  An unguarded call in
-            # a top-level function still bottoms out at Module -> False.
-        prev = anc
-    return False
+def _statement_lists(tree: ast.AST) -> Iterator[list[ast.stmt]]:
+    for node in ast.walk(tree):
+        for field in ("body", "orelse", "finalbody"):
+            stmts = getattr(node, field, None)
+            if isinstance(stmts, list) and stmts and isinstance(stmts[0], ast.stmt):
+                yield stmts
 
 
 @register_rule
 class TelemetryDisciplineRule(Rule):
-    """Hot-path telemetry calls sit behind an ``.enabled`` guard."""
+    """Instrumentation has one code path: no traced twins."""
     name = "telemetry-discipline"
     description = (
-        "hot-path telemetry calls must sit behind an `.enabled` check "
-        "(the NULL_TELEMETRY pattern)"
-    )
-    scope = (
-        "core/kernel.py",
-        "core/compressor.py",
-        "core/random_access.py",
-        "core/lossless/pipeline.py",
-        "device/gpu_sim.py",
-        "device/backend.py",
-        "device/procpool.py",
-        "service/**",
-        "io.py",
+        "no traced twins: record through the telemetry object (null spans "
+        "when off) instead of a `*_traced` copy or an `.enabled` if/else "
+        "whose arms run the same call"
     )
 
     def check(self, src: Source) -> Iterator[Finding]:
         for node in ast.walk(src.tree):
             if (
-                isinstance(node, ast.Call)
-                and _is_telemetry_call(node)
-                and not _is_guarded(node)
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.endswith("_traced")
             ):
                 yield self.finding(
                     src, node,
-                    f"telemetry .{node.func.attr}() outside an .enabled "  # type: ignore[union-attr]
-                    "guard; hot paths must pay one attribute check when "
-                    "telemetry is off",
+                    f"`{node.name}` is a traced twin; instrument the one "
+                    "code path through its telemetry object instead",
                 )
+            elif isinstance(node, ast.IfExp) and _mentions_enabled(node.test):
+                yield from self._twin(src, node, [node.body], [node.orelse])
+        for stmts in _statement_lists(src.tree):
+            for i, stmt in enumerate(stmts):
+                if not (isinstance(stmt, ast.If) and _mentions_enabled(stmt.test)):
+                    continue
+                if stmt.orelse:
+                    other = stmt.orelse
+                elif _terminates(stmt.body):
+                    other = stmts[i + 1:]
+                else:
+                    continue
+                yield from self._twin(src, stmt, stmt.body, other)
+
+    def _twin(self, src: Source, node: ast.AST, arm: list, other: list) -> Iterator[Finding]:
+        shared = sorted(_callees(arm) & _callees(other))
+        if shared:
+            yield self.finding(
+                src, node,
+                f"both sides of this `.enabled` check call {shared[0]}(): a "
+                "traced twin; record through the telemetry object on one path",
+            )

@@ -413,13 +413,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     async def _run() -> int:
         service = PFPLService(config)
         host, port = await service.start()
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        # Handlers go in before the readiness line: a client may signal
+        # as soon as it reads it, and the default SIGTERM action would
+        # kill the server without draining or stopping its workers.
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(sig, stop.set)
         print(f"pfpl serve listening on {host}:{port}", flush=True)
         log.info("serving backend=%s queue_depth=%d", config.backend,
                  config.queue_depth)
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            loop.add_signal_handler(sig, stop.set)
         await stop.wait()
         print("pfpl serve draining", flush=True)
         await service.shutdown()

@@ -245,6 +245,91 @@ def _kernel_for_header(header: Header, backend, telemetry=NULL_TELEMETRY) -> Chu
     return backend.make_kernel(quantizer, config, chunk_bytes, telemetry=telemetry)
 
 
+def encode_one_chunk(kernel: ChunkKernel, tel, index: int, float_slice: np.ndarray):
+    """Encode chunk ``index`` on the per-chunk kernel, in its own span.
+
+    Returns a one-chunk shard ``([blob], [raw], [pipeline_id], stats)``.
+    """
+    with tel.chunk(index), tel.span(
+        "chunk_encode", cat="chunk", values=int(float_slice.size)
+    ) as sp:
+        blob, raw, pid, st = kernel.encode_chunk(float_slice)
+        sp.set(bytes_out=len(blob), outliers=st.lossless, raw=bool(raw))
+    return [blob], [raw], [pid], st
+
+
+def encode_chunks(
+    backend,
+    kernel: ChunkKernel,
+    flat: np.ndarray,
+    tel=NULL_TELEMETRY,
+    first_chunk: int = 0,
+) -> tuple[list, list[bool], list[int], ChunkStats]:
+    """Encode the chunks of ``flat`` in the backend's execution shape.
+
+    The encode driver shared by :meth:`PFPLCompressor.compress` and
+    :class:`repro.io.PFPLWriter`.  ``flat`` holds full chunks except
+    possibly a ragged last one, and ``first_chunk`` is the stream index
+    of its first chunk.  The full-size chunks go to whole-array offload
+    on an ``offload_capable`` backend (a process pool: closures cannot
+    cross a process boundary, so it takes the block plus the picklable
+    kernel spec) or to chunk-major ``map_batch`` shards on a
+    ``batch_capable`` one, and the ragged tail to the per-chunk kernel.
+    Any other backend maps the per-chunk kernel over every chunk.
+    Returns ``(blobs, raw_flags, pipeline_ids, stats)`` in chunk order.
+    """
+    plan = kernel.plan(flat.size)
+    wpc = plan.words_per_chunk
+    n_full = flat.size // wpc
+
+    def encode_one(index: int):
+        return encode_one_chunk(
+            kernel, tel, first_chunk + index,
+            flat[slice(*plan.chunk_value_bounds(index))],
+        )
+
+    if not (n_full and getattr(backend, "batch_capable", False)):
+        shards = backend.map_chunks(encode_one, range(plan.n_chunks))
+    else:
+        block = flat[: n_full * wpc].reshape(n_full, wpc)
+        if getattr(backend, "offload_capable", False):
+            with tel.span(
+                "offload_encode", cat="scheduler", chunks=n_full,
+                first_chunk=first_chunk, values=int(block.size),
+            ) as sp:
+                shards = [backend.encode_array(
+                    kernel.quantizer, kernel.codec.pipeline.config,
+                    kernel.chunk_bytes, block,
+                )]
+                sp.set(bytes_out=sum(map(len, shards[0][0])))
+        else:
+            def encode_rows(lo: int, hi: int):
+                with tel.span(
+                    "batch_encode", cat="chunk", first_chunk=first_chunk + lo,
+                    chunks=hi - lo, values=(hi - lo) * wpc,
+                ) as sp:
+                    blobs, raws, pids, st = kernel.encode_batch(block[lo:hi])
+                    sizes = list(map(len, blobs))
+                    sp.set(
+                        bytes_out=sum(sizes), chunk_bytes_out=sizes,
+                        outliers=st.lossless, raw_chunks=st.raw_chunks,
+                    )
+                return blobs, raws, pids, st
+
+            shards = backend.map_batch(encode_rows, n_full)
+        shards.extend(encode_one(i) for i in range(n_full, plan.n_chunks))
+    blobs: list = []
+    raw_flags: list[bool] = []
+    pids: list[int] = []
+    stats = ChunkStats()
+    for shard_blobs, shard_raws, shard_pids, st in shards:
+        blobs.extend(shard_blobs)
+        raw_flags.extend(map(bool, shard_raws))
+        pids.extend(map(int, shard_pids))
+        stats = stats + st
+    return blobs, raw_flags, pids, stats
+
+
 class PFPLCompressor:
     """Configured PFPL instance for one (mode, bound, dtype) combination.
 
@@ -267,14 +352,12 @@ class PFPLCompressor:
         default keeps the version-1 byte-identical format.
     telemetry:
         Optional :class:`repro.telemetry.Telemetry` recording per-chunk
-        per-stage spans and codec counters; the default null telemetry
-        costs one attribute check per instrumented site and leaves the
-        output bytes untouched.
-    use_batch:
-        Chunk-major dispatch control.  ``None`` (default) defers to the
-        backend's ``batch_capable`` flag; ``True``/``False`` force the
-        batched / per-chunk kernels.  The bytes are identical either way
-        (golden-tested) -- this only selects the execution shape.
+        per-stage spans and codec counters; the default null telemetry's
+        spans and counters are no-ops, and the output bytes are the same
+        either way.  The execution shape (whole-array offload, chunk-major
+        batches or per-chunk kernels) follows the backend's
+        ``offload_capable``/``batch_capable`` attributes; the bytes are
+        identical in every shape (golden-tested).
     format_version:
         Pin the on-disk format: 1 (no footer), 2 (checksum footer) or 3
         (per-chunk pipeline selection, optionally with the footer).
@@ -300,7 +383,6 @@ class PFPLCompressor:
         chunk_bytes: int | None = None,
         checksum: bool = False,
         telemetry=None,
-        use_batch: bool | None = None,
         format_version: int | None = None,
         pipelines=None,
     ):
@@ -312,7 +394,6 @@ class PFPLCompressor:
             config, checksum, format_version, pipelines
         )
         self.chunk_bytes = chunk_bytes or CHUNK_BYTES
-        self.use_batch = use_batch
         self.telemetry = telemetry or NULL_TELEMETRY
         if self.telemetry.enabled and not getattr(
             self.backend, "telemetry", NULL_TELEMETRY
@@ -323,12 +404,6 @@ class PFPLCompressor:
             self.backend.telemetry = self.telemetry
         # Validate the bound eagerly (cheap, catches bad eps before data).
         make_quantizer(mode, self.error_bound, dtype=self.layout.float_dtype)
-
-    def _batch_enabled(self) -> bool:
-        """Resolve the batch/per-chunk dispatch rule for this backend."""
-        if self.use_batch is not None:
-            return self.use_batch
-        return bool(getattr(self.backend, "batch_capable", False))
 
     # -- compression -------------------------------------------------------
 
@@ -341,118 +416,13 @@ class PFPLCompressor:
         )
         # Global pre-pass (NOA's min/max reduction; no-op for ABS/REL):
         # after this every chunk kernel is pure and order-independent.
-        if tel.enabled:
-            with tel.span("prepare", cat="codec", mode=self.mode, values=flat.size):
-                params = quantizer.prepare(flat)
-        else:
+        with tel.span("prepare", cat="codec", mode=self.mode, values=flat.size):
             params = quantizer.prepare(flat)
         kernel = self.backend.make_kernel(
             quantizer, self.config, self.chunk_bytes, telemetry=tel
         )
         plan = kernel.plan(flat.size)
-
-        # Chunk-major dispatch rule: every full-size chunk flows through
-        # the batched kernels as rows of one (n_chunks, words_per_chunk)
-        # matrix; the ragged tail (if any) stays on the per-chunk kernel.
-        n_full = plan.n_chunks
-        if plan.n_chunks and plan.n_words != plan.n_chunks * plan.words_per_chunk:
-            n_full -= 1
-
-        def encode_one(item):
-            index, float_slice = item
-            if not tel.enabled:
-                return kernel.encode_chunk(float_slice)
-            with tel.chunk(index), tel.span(
-                "chunk_encode", cat="chunk", values=int(float_slice.size)
-            ) as sp:
-                blob, raw, pid, st = kernel.encode_chunk(float_slice)
-                sp.set(bytes_out=len(blob), outliers=st.lossless, raw=bool(raw))
-            return blob, raw, pid, st
-
-        if self._batch_enabled() and n_full and getattr(
-            self.backend, "offload_capable", False
-        ):
-            # Whole-array offload (process pools): closures cannot cross a
-            # process boundary, so the backend takes the block plus the
-            # picklable kernel spec and returns shard results merged.
-            block = flat[: n_full * plan.words_per_chunk].reshape(
-                n_full, plan.words_per_chunk
-            )
-            if tel.enabled:
-                with tel.span(
-                    "offload_encode", cat="scheduler", chunks=n_full,
-                    values=n_full * plan.words_per_chunk,
-                ) as sp:
-                    blobs, raw_flags, pids, stats = self.backend.encode_array(
-                        quantizer, self.config, self.chunk_bytes, block
-                    )
-                    sp.set(bytes_out=sum(len(b) for b in blobs))
-            else:
-                blobs, raw_flags, pids, stats = self.backend.encode_array(
-                    quantizer, self.config, self.chunk_bytes, block
-                )
-            blobs = list(blobs)
-            raw_flags = [bool(r) for r in raw_flags]
-            pids = [int(p) for p in pids]
-            for index in range(n_full, plan.n_chunks):
-                blob, raw, pid, st = encode_one(
-                    (index, flat[slice(*plan.chunk_value_bounds(index))])
-                )
-                blobs.append(blob)
-                raw_flags.append(bool(raw))
-                pids.append(int(pid))
-                stats = stats + st
-        elif self._batch_enabled() and n_full:
-            block = flat[: n_full * plan.words_per_chunk].reshape(
-                n_full, plan.words_per_chunk
-            )
-
-            def encode_rows(lo: int, hi: int):
-                if not tel.enabled:
-                    return kernel.encode_batch(block[lo:hi])
-                with tel.span(
-                    "batch_encode", cat="chunk", first_chunk=lo, chunks=hi - lo,
-                    values=(hi - lo) * plan.words_per_chunk,
-                ) as sp:
-                    shard_blobs, shard_raws, shard_pids, st = kernel.encode_batch(
-                        block[lo:hi]
-                    )
-                    sp.set(
-                        bytes_out=sum(len(b) for b in shard_blobs),
-                        chunk_bytes_out=[len(b) for b in shard_blobs],
-                        outliers=st.lossless, raw_chunks=st.raw_chunks,
-                    )
-                return shard_blobs, shard_raws, shard_pids, st
-
-            results = self.backend.map_batch(encode_rows, n_full)
-            blobs = [b for shard_blobs, _r, _p, _st in results for b in shard_blobs]
-            raw_flags = [
-                bool(r) for _b, shard_raws, _p, _st in results for r in shard_raws
-            ]
-            pids = [
-                int(p) for _b, _r, shard_pids, _st in results for p in shard_pids
-            ]
-            stats = sum((st for _b, _r, _p, st in results), ChunkStats())
-            for index in range(n_full, plan.n_chunks):
-                blob, raw, pid, st = encode_one(
-                    (index, flat[slice(*plan.chunk_value_bounds(index))])
-                )
-                blobs.append(blob)
-                raw_flags.append(bool(raw))
-                pids.append(int(pid))
-                stats = stats + st
-        else:
-            slices = [
-                flat[slice(*plan.chunk_value_bounds(i))] for i in range(plan.n_chunks)
-            ]
-            if tel.enabled:
-                results = self.backend.map_chunks(encode_one, list(enumerate(slices)))
-            else:
-                results = self.backend.map_chunks(kernel.encode_chunk, slices)
-            blobs = [blob for blob, _raw, _pid, _st in results]
-            raw_flags = [raw for _blob, raw, _pid, _st in results]
-            pids = [int(pid) for _b, _r, pid, _st in results]
-            stats = sum((st for _b, _r, _p, st in results), ChunkStats())
+        blobs, raw_flags, pids, stats = encode_chunks(self.backend, kernel, flat, tel)
 
         header = Header(
             mode=self.mode,
@@ -478,15 +448,12 @@ class PFPLCompressor:
             # The footer rides as one extra blob so assembly stays a single
             # scatter into the preallocated buffer.
             blobs = blobs + [_crc_footer(prefix, blobs)]
-        if tel.enabled:
-            with tel.span(
-                "assemble", cat="encode",
-                bytes_in=sum(len(b) for b in blobs) + len(prefix),
-            ) as sp:
-                stream = self.backend.assemble(prefix, blobs)
-                sp.set(bytes_out=len(stream))
-        else:
+        with tel.span(
+            "assemble", cat="encode",
+            bytes_in=sum(map(len, blobs)) + len(prefix),
+        ) as sp:
             stream = self.backend.assemble(prefix, blobs)
+            sp.set(bytes_out=len(stream))
         return CompressionResult(
             data=stream,
             original_bytes=flat.nbytes,
@@ -524,10 +491,7 @@ class PFPLCompressor:
                 + "; ".join(problems)
                 + "); use repro.core.decompress() for self-describing decode"
             )
-        return decompress(
-            stream, backend=self.backend, telemetry=self.telemetry,
-            use_batch=self.use_batch,
-        )
+        return decompress(stream, backend=self.backend, telemetry=self.telemetry)
 
 
 def compress(
@@ -577,7 +541,6 @@ def decompress(
     backend=None,
     out: np.ndarray | None = None,
     telemetry=None,
-    use_batch: bool | None = None,
 ) -> np.ndarray:
     """Decompress a PFPL stream into a 1-D array of the original dtype.
 
@@ -590,11 +553,10 @@ def decompress(
     buffer); no per-chunk arrays are concatenated, so peak memory is the
     output array plus chunk-sized temporaries.
 
-    ``use_batch`` selects the execution shape exactly as in
-    :class:`PFPLCompressor`: ``None`` defers to the backend's
-    ``batch_capable`` flag.  On the batched path every non-raw full-size
-    chunk decodes as a row of one chunk-major matrix; raw chunks and the
-    ragged tail always take the per-chunk kernel.
+    The execution shape follows the backend as in
+    :class:`PFPLCompressor`.  On a ``batch_capable`` backend every
+    non-raw full-size chunk decodes as a row of one chunk-major matrix;
+    raw chunks and the ragged tail always take the per-chunk kernel.
     """
     backend = backend or InlineBackend()
     tel = telemetry or NULL_TELEMETRY
@@ -644,23 +606,24 @@ def decompress(
         lo = int(starts[index])
         hi = lo + int(sizes[index])
         blob = view[lo:hi]
-        if chunk_crcs is not None and zlib.crc32(blob) != int(chunk_crcs[index]):
-            raise PFPLIntegrityError(
-                f"chunk {index} checksum mismatch (stream corrupted)"
+        with tel.chunk(index), tel.span(
+            "chunk_decode", cat="chunk", bytes_in=int(sizes[index])
+        ):
+            if chunk_crcs is not None and zlib.crc32(blob) != int(chunk_crcs[index]):
+                raise PFPLIntegrityError(
+                    f"chunk {index} checksum mismatch (stream corrupted)"
+                )
+            vlo, vhi = plan.chunk_value_bounds(index)
+            kernel.decode_chunk(
+                blob, vhi - vlo, bool(raw_flags[index]), out=out[vlo:vhi],
+                pipeline_id=int(pids[index]),
             )
-        vlo, vhi = plan.chunk_value_bounds(index)
-        kernel.decode_chunk(
-            blob, vhi - vlo, bool(raw_flags[index]), out=out[vlo:vhi],
-            pipeline_id=int(pids[index]),
-        )
 
-    if use_batch is None:
-        use_batch = bool(getattr(backend, "batch_capable", False))
     n_full = plan.n_chunks
     if plan.n_chunks and plan.n_words != plan.n_chunks * plan.words_per_chunk:
         n_full -= 1
 
-    if use_batch and n_full:
+    if n_full and getattr(backend, "batch_capable", False):
         # Batched rows: non-raw full-size chunks, grouped by pipeline id
         # so every batch decodes under a single lossless variant (v1/v2
         # streams have one group, id 0).  Raw chunks and the ragged tail
@@ -682,49 +645,37 @@ def decompress(
                 # Whole-array offload: the backend ships row shards to
                 # worker processes (rebuilt around this group's variant
                 # config) and scatters decoded rows into the output.
-                config = variant_config(base_config, pid)
-                if tel.enabled:
-                    with tel.span(
-                        "offload_decode", cat="scheduler", chunks=int(rows.size),
-                        bytes_in=int(sizes[rows].sum(dtype=np.int64)),
-                    ):
-                        backend.decode_array(
-                            kernel.quantizer, config, kernel.chunk_bytes, stream,
-                            starts, sizes, rows, wpc, chunk_crcs, out_block,
-                        )
-                else:
+                with tel.span(
+                    "offload_decode", cat="scheduler", chunks=int(rows.size),
+                    bytes_in=int(sizes[rows].sum(dtype=np.int64)),
+                ):
                     backend.decode_array(
-                        kernel.quantizer, config, kernel.chunk_bytes, stream,
-                        starts, sizes, rows, wpc, chunk_crcs, out_block,
+                        kernel.quantizer, variant_config(base_config, pid),
+                        kernel.chunk_bytes, stream, starts, sizes, rows, wpc,
+                        chunk_crcs, out_block,
                     )
                 return
 
             def decode_rows(lo: int, hi: int) -> None:
                 sel = rows[lo:hi]
-                if chunk_crcs is not None:
-                    for index in sel:
-                        blo = int(starts[index])
-                        bhi = blo + int(sizes[index])
-                        if zlib.crc32(view[blo:bhi]) != int(chunk_crcs[index]):
-                            raise PFPLIntegrityError(
-                                f"chunk {int(index)} checksum mismatch "
-                                "(stream corrupted)"
-                            )
-                out_block[sel] = kernel.decode_batch(
-                    payload, starts[sel], sizes[sel], wpc, pipeline_id=pid
-                )
-
-            def decode_rows_traced(lo: int, hi: int) -> None:
                 with tel.span(
                     "batch_decode", cat="chunk", chunks=hi - lo,
-                    bytes_in=int(sizes[rows[lo:hi]].sum(dtype=np.int64)),
+                    bytes_in=int(sizes[sel].sum(dtype=np.int64)),
                 ):
-                    decode_rows(lo, hi)
+                    if chunk_crcs is not None:
+                        for index in sel:
+                            blo = int(starts[index])
+                            bhi = blo + int(sizes[index])
+                            if zlib.crc32(view[blo:bhi]) != int(chunk_crcs[index]):
+                                raise PFPLIntegrityError(
+                                    f"chunk {int(index)} checksum mismatch "
+                                    "(stream corrupted)"
+                                )
+                    out_block[sel] = kernel.decode_batch(
+                        payload, starts[sel], sizes[sel], wpc, pipeline_id=pid
+                    )
 
-            backend.map_batch(
-                decode_rows_traced if tel.enabled else decode_rows,
-                int(rows.size), costs=sizes[rows],
-            )
+            backend.map_batch(decode_rows, int(rows.size), costs=sizes[rows])
 
         if rows_all.size:
             for pid in np.unique(pids[rows_all]):
@@ -736,14 +687,5 @@ def decompress(
         rest = list(range(plan.n_chunks))
 
     rest_costs = sizes[np.asarray(rest, dtype=np.int64)] if rest else sizes[:0]
-    if tel.enabled:
-        def decode_traced(index: int) -> None:
-            with tel.chunk(index), tel.span(
-                "chunk_decode", cat="chunk", bytes_in=int(sizes[index])
-            ):
-                decode_one(index)
-
-        backend.map_chunks(decode_traced, rest, costs=rest_costs)
-    else:
-        backend.map_chunks(decode_one, rest, costs=rest_costs)
+    backend.map_chunks(decode_one, rest, costs=rest_costs)
     return out

@@ -94,10 +94,8 @@ class ChunkKernel:
         self.chunk_bytes = chunk_bytes
         self.words_per_chunk = chunk_bytes // self.layout.uint_dtype.itemsize
         self.telemetry = telemetry
-        if telemetry.enabled:
-            # The lossless stages record their own spans through the
-            # shared pipeline object (null telemetry otherwise).
-            pipeline.telemetry = telemetry
+        # The lossless stages record their own spans through the pipeline.
+        pipeline.telemetry = telemetry
 
     # -- planning ------------------------------------------------------------
 
@@ -127,12 +125,6 @@ class ChunkKernel:
             # n words are about to be overwritten by the quantizer.
             words[n:] = 0
         tel = self.telemetry
-        if not tel.enabled:
-            n_lossless = self.quantizer.encode_into(float_slice, words[:n])
-            blob, raw, pid = self.codec.encode_chunk(words)
-            return blob, raw, pid, ChunkStats(
-                total=n, lossless=n_lossless, raw_chunks=int(raw)
-            )
         word_bytes = n * self.layout.uint_dtype.itemsize
         with tel.span("quantize", cat="encode",
                       bytes_in=float_slice.nbytes, bytes_out=word_bytes) as sp:
@@ -182,17 +174,14 @@ class ChunkKernel:
             words = self.codec.decode_chunk(blob, n_words, is_raw, pipeline_id)
             if out is None:
                 out = np.empty(n_values, dtype=self.layout.float_dtype)
-            if tel.enabled:
-                word_bytes = n_values * self.layout.uint_dtype.itemsize
-                with tel.span("dequantize", cat="decode",
-                              bytes_in=word_bytes, bytes_out=out.nbytes):
-                    self.quantizer.decode_into(words[:n_values], out)
-                tel.add("chunks_decoded_total")
-                tel.add("values_decoded_total", n_values)
-                if is_raw:
-                    tel.add("raw_chunks_decoded_total")
-            else:
+            word_bytes = n_values * self.layout.uint_dtype.itemsize
+            with tel.span("dequantize", cat="decode",
+                          bytes_in=word_bytes, bytes_out=out.nbytes):
                 self.quantizer.decode_into(words[:n_values], out)
+            tel.add("chunks_decoded_total")
+            tel.add("values_decoded_total", n_values)
+            if is_raw:
+                tel.add("raw_chunks_decoded_total")
         except PFPLError:
             raise
         except (ValueError, TypeError, IndexError, KeyError, OverflowError) as exc:
@@ -220,13 +209,6 @@ class ChunkKernel:
         # (raw rows are copied out with tobytes) before any reuse.
         words = scratch("kernel.words", (n_chunks, n), self.layout.uint_dtype)
         tel = self.telemetry
-        if not tel.enabled:
-            n_lossless = self.quantizer.encode_batch_into(float_block, words)
-            blobs, raw_flags, pids = self.codec.encode_batch(words)
-            return blobs, raw_flags, pids, ChunkStats(
-                total=n_chunks * n, lossless=n_lossless,
-                raw_chunks=int(np.count_nonzero(raw_flags)),
-            )
         with tel.span("quantize", cat="encode", chunks=n_chunks,
                       bytes_in=float_block.nbytes, bytes_out=words.nbytes) as sp:
             n_lossless = self.quantizer.encode_batch_into(float_block, words)
@@ -237,7 +219,7 @@ class ChunkKernel:
         tel.add("values_encoded_total", n_chunks * n)
         tel.add("outlier_values_total", n_lossless)
         tel.add("chunk_bytes_in_total", float_block.nbytes)
-        tel.add("chunk_bytes_out_total", sum(len(b) for b in blobs))
+        tel.add("chunk_bytes_out_total", sum(map(len, blobs)))
         if n_raw:
             tel.add("raw_chunks_total", n_raw)
         if self.codec.select:
@@ -278,14 +260,11 @@ class ChunkKernel:
             )
             if out is None:
                 out = np.empty((n_chunks, n_words), dtype=self.layout.float_dtype)
-            if tel.enabled:
-                with tel.span("dequantize", cat="decode", chunks=n_chunks,
-                              bytes_in=words.nbytes, bytes_out=out.nbytes):
-                    self.quantizer.decode_batch_into(words, out)
-                tel.add("chunks_decoded_total", n_chunks)
-                tel.add("values_decoded_total", n_chunks * n_words)
-            else:
+            with tel.span("dequantize", cat="decode", chunks=n_chunks,
+                          bytes_in=words.nbytes, bytes_out=out.nbytes):
                 self.quantizer.decode_batch_into(words, out)
+            tel.add("chunks_decoded_total", n_chunks)
+            tel.add("values_decoded_total", n_chunks * n_words)
         except PFPLError:
             raise
         except (ValueError, TypeError, IndexError, KeyError, OverflowError) as exc:

@@ -151,9 +151,23 @@ class LosslessPipeline:
         the word size of all but the last stage doubled, Section III-D).
     config:
         Stage toggles for ablations.
+
+    Every codec method records one span per stage through
+    :attr:`telemetry`.  Byte accounting follows
+    :func:`repro.device.profile.profile_chunk` so the drift check can
+    compare measured against analytic exactly: delta is
+    word-size-preserving, bitshuffle maps words to one byte-plane stream
+    of equal size, zero elimination is the only stage that shrinks.
+    Batched spans carry the same stage names plus a ``chunks`` count, and
+    their byte totals equal the sum of the per-chunk spans.
+
+    The per-chunk methods run their stages through the hooks
+    ``_delta_encode`` .. ``_delta_decode`` below; a backend-specific
+    pipeline (the GPU simulation's warp kernels) overrides only those
+    hooks and inherits the control flow.
     """
 
-    #: Telemetry sink (null object by default: one attribute check when off).
+    #: Telemetry sink (null object by default: its spans are no-ops).
     telemetry = NULL_TELEMETRY
 
     def __init__(self, word_dtype=np.uint32, config: PipelineConfig | None = None):
@@ -162,47 +176,48 @@ class LosslessPipeline:
             raise TypeError(f"pipeline words must be uint32/uint64, got {word_dtype}")
         self.config = config or PipelineConfig()
 
+    # -- per-chunk stage kernels ----------------------------------------------
+    # Each hook looks its stage function up in this module at call time,
+    # so rebinding a module-level stage name reaches every call.
+
+    def _delta_encode(self, words: np.ndarray) -> np.ndarray:
+        return delta_encode(words)
+
+    def _bitshuffle(self, words: np.ndarray) -> np.ndarray:
+        return bitshuffle(words)
+
+    def _zero_elim(self, stream: np.ndarray) -> bytes:
+        return compress_bytes(stream, levels=self.config.bitmap_levels)
+
+    def _zero_restore(self, blob, n_bytes: int) -> np.ndarray:
+        return decompress_bytes(blob, n_bytes, levels=self.config.bitmap_levels)
+
+    def _bitunshuffle(self, stream: np.ndarray, n_words: int) -> np.ndarray:
+        return bitunshuffle(stream, n_words, self.word_dtype)
+
+    def _delta_decode(self, words: np.ndarray) -> np.ndarray:
+        return delta_decode(words)
+
+    # -- per-chunk codec -------------------------------------------------------
+
     def encode_chunk(self, words: np.ndarray) -> bytes:
         """Compress one chunk of words (count must be a multiple of 8)."""
         tel = self.telemetry
-        if tel.enabled:
-            return self._encode_chunk_traced(words, tel)
-        words = np.ascontiguousarray(words, dtype=self.word_dtype)
-        cfg = self.config
-        if cfg.use_delta:
-            words = delta_encode(words)
-        if cfg.use_bitshuffle:
-            stream = bitshuffle(words)
-        else:
-            stream = words.view(np.uint8)
-        if cfg.use_zero_elim:
-            return compress_bytes(stream, levels=cfg.bitmap_levels)
-        return stream.tobytes()
-
-    def _encode_chunk_traced(self, words: np.ndarray, tel) -> bytes:
-        """The encode path with one span (timing + byte traffic) per stage.
-
-        Byte accounting follows :func:`repro.device.profile.profile_chunk`
-        so the drift check can compare measured against analytic exactly:
-        delta is word-size-preserving, bitshuffle maps words to one byte
-        plane stream of equal size, zero elimination is the only stage
-        that shrinks.
-        """
         words = np.ascontiguousarray(words, dtype=self.word_dtype)
         cfg = self.config
         if cfg.use_delta:
             with tel.span("delta+negabinary", cat="encode",
                           bytes_in=words.nbytes, bytes_out=words.nbytes):
-                words = delta_encode(words)
+                words = self._delta_encode(words)
         if cfg.use_bitshuffle:
             with tel.span("bitshuffle", cat="encode", bytes_in=words.nbytes) as sp:
-                stream = bitshuffle(words)
+                stream = self._bitshuffle(words)
                 sp.set(bytes_out=stream.size)
         else:
             stream = words.view(np.uint8)
         if cfg.use_zero_elim:
             with tel.span("zero-elim", cat="encode", bytes_in=stream.size) as sp:
-                blob = compress_bytes(stream, levels=cfg.bitmap_levels)
+                blob = self._zero_elim(stream)
                 sp.set(bytes_out=len(blob))
             return blob
         return stream.tobytes()
@@ -214,39 +229,12 @@ class LosslessPipeline:
         most once, bitshuffle at most once, zero elimination once per
         candidate -- so the blobs are byte-identical to encoding each
         variant independently while the marginal cost per candidate is
-        one zero-elim pass.  The traced path records spans with exactly
-        that sharing, which the drift model mirrors.
+        one zero-elim pass.  The spans mirror that sharing (one
+        ``delta+negabinary`` and one ``bitshuffle`` span at most, one
+        ``zero-elim`` span per candidate labeled with the variant name),
+        which the drift model reproduces.
         """
         tel = self.telemetry
-        if tel.enabled:
-            return self._encode_variants_traced(words, pids, tel)
-        words = np.ascontiguousarray(words, dtype=self.word_dtype)
-        delta = None
-        planes: dict[bool, np.ndarray] = {}
-        blobs = []
-        for pid in pids:
-            cfg = variant_config(self.config, pid)
-            w = words
-            if cfg.use_delta:
-                if delta is None:
-                    delta = delta_encode(words)
-                w = delta
-            if cfg.use_bitshuffle:
-                if cfg.use_delta not in planes:
-                    planes[cfg.use_delta] = bitshuffle(w)
-                stream = planes[cfg.use_delta]
-            else:
-                stream = w.view(np.uint8)
-            blobs.append(compress_bytes(stream, levels=cfg.bitmap_levels))
-        return blobs
-
-    def _encode_variants_traced(self, words, pids, tel) -> list[bytes]:
-        """Variant evaluation with the shared-stage span structure.
-
-        One ``delta+negabinary`` span and one ``bitshuffle`` span at most
-        (matching the single shared execution), plus one ``zero-elim``
-        span per candidate labeled with the variant name.
-        """
         words = np.ascontiguousarray(words, dtype=self.word_dtype)
         delta = None
         planes: dict[bool, np.ndarray] = {}
@@ -258,20 +246,20 @@ class LosslessPipeline:
                 if delta is None:
                     with tel.span("delta+negabinary", cat="encode",
                                   bytes_in=words.nbytes, bytes_out=words.nbytes):
-                        delta = delta_encode(words)
+                        delta = self._delta_encode(words)
                 w = delta
             if cfg.use_bitshuffle:
                 if cfg.use_delta not in planes:
                     with tel.span("bitshuffle", cat="encode",
                                   bytes_in=w.nbytes) as sp:
-                        planes[cfg.use_delta] = bitshuffle(w)
+                        planes[cfg.use_delta] = self._bitshuffle(w)
                         sp.set(bytes_out=planes[cfg.use_delta].size)
                 stream = planes[cfg.use_delta]
             else:
                 stream = w.view(np.uint8)
             with tel.span("zero-elim", cat="encode", bytes_in=stream.size,
                           pipeline=PIPELINE_VARIANTS[pid]) as sp:
-                blob = compress_bytes(stream, levels=cfg.bitmap_levels)
+                blob = self._zero_elim(stream)
                 sp.set(bytes_out=len(blob))
             blobs.append(blob)
         return blobs
@@ -279,39 +267,16 @@ class LosslessPipeline:
     def decode_chunk(self, blob, n_words: int) -> np.ndarray:
         """Decompress one chunk back into ``n_words`` words."""
         tel = self.telemetry
-        if tel.enabled:
-            return self._decode_chunk_traced(blob, n_words, tel)
-        cfg = self.config
-        n_bytes = n_words * self.word_dtype.itemsize
-        if cfg.use_zero_elim:
-            stream = decompress_bytes(blob, n_bytes, levels=cfg.bitmap_levels)
-        else:
-            # Read the chunk's buffer in place (memoryview/bytes/array);
-            # duplicating it here doubled decode memory per chunk.
-            if isinstance(blob, np.ndarray):
-                stream = np.ascontiguousarray(blob).view(np.uint8).reshape(-1)
-            else:
-                stream = np.frombuffer(blob, dtype=np.uint8)
-            if stream.size != n_bytes:
-                raise PFPLIntegrityError(f"chunk holds {stream.size} bytes, expected {n_bytes}")
-        if cfg.use_bitshuffle:
-            words = bitunshuffle(stream, n_words, self.word_dtype)
-        else:
-            words = np.ascontiguousarray(stream).view(self.word_dtype).copy()
-        if cfg.use_delta:
-            words = delta_decode(words)
-        return words
-
-    def _decode_chunk_traced(self, blob, n_words: int, tel) -> np.ndarray:
-        """The decode path with one span per inverse stage."""
         cfg = self.config
         n_bytes = n_words * self.word_dtype.itemsize
         if cfg.use_zero_elim:
             blob_len = blob.nbytes if hasattr(blob, "nbytes") else len(blob)
             with tel.span("zero-restore", cat="decode",
                           bytes_in=blob_len, bytes_out=n_bytes):
-                stream = decompress_bytes(blob, n_bytes, levels=cfg.bitmap_levels)
+                stream = self._zero_restore(blob, n_bytes)
         else:
+            # Read the chunk's buffer in place (memoryview/bytes/array);
+            # duplicating it here doubled decode memory per chunk.
             if isinstance(blob, np.ndarray):
                 stream = np.ascontiguousarray(blob).view(np.uint8).reshape(-1)
             else:
@@ -323,14 +288,16 @@ class LosslessPipeline:
         if cfg.use_bitshuffle:
             with tel.span("bitunshuffle", cat="decode",
                           bytes_in=stream.size, bytes_out=n_bytes):
-                words = bitunshuffle(stream, n_words, self.word_dtype)
+                words = self._bitunshuffle(stream, n_words)
         else:
             words = np.ascontiguousarray(stream).view(self.word_dtype).copy()
         if cfg.use_delta:
             with tel.span("delta-decode", cat="decode",
                           bytes_in=words.nbytes, bytes_out=words.nbytes):
-                words = delta_decode(words)
+                words = self._delta_decode(words)
         return words
+
+    # -- chunk-major batch codec ----------------------------------------------
 
     def encode_batch(self, words: np.ndarray) -> list[bytes]:
         """Compress a ``(n_chunks, n_words)`` block of equal-size chunks.
@@ -338,41 +305,17 @@ class LosslessPipeline:
         Every stage runs once over the whole matrix (chunk-major layout)
         and the result is the list of per-chunk blobs, bit-identical to
         mapping :meth:`encode_chunk` over the rows.  Row width must be a
-        multiple of 8 (the full-chunk geometry always is).
+        multiple of 8 (the full-chunk geometry always is).  The zero-elim
+        span attributes output bytes per chunk (``chunk_bytes_out``).
         """
         tel = self.telemetry
-        if tel.enabled:
-            return self._encode_batch_traced(words, tel)
-        words = np.ascontiguousarray(words, dtype=self.word_dtype)
-        cfg = self.config
-        if cfg.use_delta:
-            # Stage intermediates live in reused per-thread scratch: the
-            # blobs copy out of them before the next batch reuses the
-            # memory, so nothing scratch-backed escapes this call.
-            words = delta_encode_batch(
-                words, out=scratch("pipeline.delta", words.shape, self.word_dtype)
-            )
-        if cfg.use_bitshuffle:
-            stream = bitshuffle_batch(words, out=self._plane_scratch(words))
-        else:
-            stream = np.ascontiguousarray(words).view(np.uint8)
-        if cfg.use_zero_elim:
-            return compress_bytes_batch(stream, levels=cfg.bitmap_levels)
-        return [row.tobytes() for row in stream]
-
-    def _encode_batch_traced(self, words: np.ndarray, tel) -> list[bytes]:
-        """Batched encode with one span per stage over the whole block.
-
-        Spans carry the same stage names as the per-chunk path plus a
-        ``chunks`` count; byte totals equal the sum of the per-chunk
-        spans, so the drift check's stage-byte counters stay exact.  The
-        zero-elim span attributes output bytes per chunk
-        (``chunk_bytes_out``).
-        """
         words = np.ascontiguousarray(words, dtype=self.word_dtype)
         cfg = self.config
         n_chunks = words.shape[0]
         if cfg.use_delta:
+            # Stage intermediates live in reused per-thread scratch: the
+            # blobs copy out of them before the next batch reuses the
+            # memory, so nothing scratch-backed escapes this call.
             with tel.span("delta+negabinary", cat="encode", chunks=n_chunks,
                           bytes_in=words.nbytes, bytes_out=words.nbytes):
                 words = delta_encode_batch(
@@ -390,7 +333,7 @@ class LosslessPipeline:
             with tel.span("zero-elim", cat="encode", chunks=n_chunks,
                           bytes_in=stream.size) as sp:
                 blobs = compress_bytes_batch(stream, levels=cfg.bitmap_levels)
-                sizes = [len(b) for b in blobs]
+                sizes = list(map(len, blobs))
                 sp.set(bytes_out=sum(sizes), chunk_bytes_out=sizes)
             return blobs
         return [row.tobytes() for row in stream]
@@ -409,35 +352,6 @@ class LosslessPipeline:
         selection account identically.
         """
         tel = self.telemetry
-        if tel.enabled:
-            return self._encode_batch_variants_traced(words, pids, tel)
-        words = np.ascontiguousarray(words, dtype=self.word_dtype)
-        delta = None
-        planes: dict[bool, np.ndarray] = {}
-        out = []
-        for pid in pids:
-            cfg = variant_config(self.config, pid)
-            w = words
-            if cfg.use_delta:
-                if delta is None:
-                    delta = delta_encode_batch(
-                        words,
-                        out=scratch("pipeline.delta", words.shape, self.word_dtype),
-                    )
-                w = delta
-            if cfg.use_bitshuffle:
-                if cfg.use_delta not in planes:
-                    planes[cfg.use_delta] = bitshuffle_batch(
-                        w, out=self._plane_scratch(w)
-                    )
-                stream = planes[cfg.use_delta]
-            else:
-                stream = np.ascontiguousarray(w).view(np.uint8)
-            out.append(compress_bytes_batch(stream, levels=cfg.bitmap_levels))
-        return out
-
-    def _encode_batch_variants_traced(self, words, pids, tel) -> list[list[bytes]]:
-        """Batched variant evaluation with shared-stage spans."""
         words = np.ascontiguousarray(words, dtype=self.word_dtype)
         n_chunks = words.shape[0]
         delta = None
@@ -473,7 +387,7 @@ class LosslessPipeline:
                           bytes_in=stream.size,
                           pipeline=PIPELINE_VARIANTS[pid]) as sp:
                 blobs = compress_bytes_batch(stream, levels=cfg.bitmap_levels)
-                sizes = [len(b) for b in blobs]
+                sizes = list(map(len, blobs))
                 sp.set(bytes_out=sum(sizes), chunk_bytes_out=sizes)
             out.append(blobs)
         return out
@@ -493,26 +407,6 @@ class LosslessPipeline:
         :meth:`decode_chunk` over the blobs.
         """
         tel = self.telemetry
-        if tel.enabled:
-            return self._decode_batch_traced(stream, starts, sizes, n_words, tel)
-        cfg = self.config
-        n_bytes = n_words * self.word_dtype.itemsize
-        if cfg.use_zero_elim:
-            planes = decompress_bytes_batch(
-                stream, starts, sizes, n_bytes, levels=cfg.bitmap_levels
-            )
-        else:
-            planes = self._gather_uncompressed(stream, starts, sizes, n_bytes)
-        if cfg.use_bitshuffle:
-            words = bitunshuffle_batch(planes, self.word_dtype)
-        else:
-            words = np.ascontiguousarray(planes).view(self.word_dtype).copy()
-        if cfg.use_delta:
-            words = delta_decode_batch(words)
-        return words
-
-    def _decode_batch_traced(self, stream, starts, sizes, n_words: int, tel) -> np.ndarray:
-        """Batched decode with one span per inverse stage over the block."""
         cfg = self.config
         n_chunks = len(starts)
         n_bytes = n_words * self.word_dtype.itemsize

@@ -203,21 +203,6 @@ class StreamDecoder:
         if index < 0 or index >= self._plan.n_chunks:
             raise IndexError(f"chunk {index} out of range [0, {self._plan.n_chunks})")
         tel = self._telemetry
-        if tel.enabled:
-            return self._decode_chunk_traced(index, out, tel)
-        blob = self._source.fetch(int(self._starts[index]), int(self._sizes[index]))
-        if (self._chunk_crcs is not None
-                and zlib.crc32(blob) != int(self._chunk_crcs[index])):
-            raise PFPLIntegrityError(
-                f"chunk {index} checksum mismatch (stream corrupted)"
-            )
-        return self._kernel.decode_chunk(
-            blob, self.chunk_values(index), bool(self._raw_flags[index]), out=out,
-            pipeline_id=int(self._pids[index]),
-        )
-
-    def _decode_chunk_traced(self, index: int, out, tel) -> np.ndarray:
-        """Decode one chunk with fetch + decode spans (and chunk scope)."""
         size = int(self._sizes[index])
         with tel.chunk(index):
             with tel.span("fetch", cat="io", bytes=size):

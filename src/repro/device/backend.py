@@ -77,7 +77,7 @@ class Backend:
     #: is one chunk, and the stages hold a few matrix temporaries).
     batch_rows = 64
     #: Telemetry sink for scheduling spans (queue wait, worker execution);
-    #: the null default keeps ``map_chunks`` on its uninstrumented path.
+    #: the null default records nothing.
     telemetry = NULL_TELEMETRY
     #: Order in which the last ``map_chunks`` call actually *started*
     #: items (item positions).  For the serial backends this is identity;
@@ -346,14 +346,12 @@ class ThreadedBackend(Backend):
         t_submit = time.perf_counter()
         # Pool threads have no trace binding of their own; capture the
         # submitting thread's request context so worker spans link back.
-        ctx = tel.current_trace() if tel.enabled else None
+        ctx = tel.current_trace()
 
         def run(index: int, item) -> object:
             t0 = time.perf_counter()
             with record_lock:
                 order_record.append(index)
-            if not tel.enabled:
-                return fn(item)
             worker = str(self.worker_id())
             wait = t0 - t_submit
             with tel.trace(ctx):
@@ -417,7 +415,7 @@ class GpuSimBackend(Backend):
     scans) run; chunk offsets use decoupled look-back.  Output bytes are
     identical to the CPU backends.
 
-    With telemetry enabled, each block execution is also recorded as a
+    Each block execution is also recorded (when telemetry is on) as a
     *modeled* span on a virtual per-SM track (``sm-0`` ..
     ``sm-<wave-1>``): every block in a wave starts at the wave's base
     time on its own SM with its measured kernel duration, so the Chrome
@@ -456,11 +454,6 @@ class GpuSimBackend(Backend):
         self.last_order = list(range(len(items)))
         results: list = [None] * len(items)
         tel = self.telemetry
-        if not tel.enabled:
-            for wave_start in range(0, len(items), self.wave):
-                for i in range(wave_start, min(len(items), wave_start + self.wave)):
-                    results[i] = fn(items[i])
-            return results
         for wave_id, wave_start in enumerate(range(0, len(items), self.wave)):
             # All blocks of a wave are *modeled* as launching together at
             # the wave base time, one per virtual SM; each block's

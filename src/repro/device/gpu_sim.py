@@ -57,27 +57,15 @@ def gpu_compact(data: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 
 class GpuLosslessPipeline(LosslessPipeline):
-    """Drop-in :class:`LosslessPipeline` with GPU-structured kernels."""
+    """Drop-in :class:`LosslessPipeline` with GPU-structured kernels.
 
-    def encode_chunk(self, words: np.ndarray) -> bytes:
-        tel = self.telemetry
-        if tel.enabled:
-            return self._encode_chunk_traced(words, tel)
-        words = np.ascontiguousarray(words, dtype=self.word_dtype)
-        cfg = self.config
-        if cfg.use_delta:
-            # Forward delta is embarrassingly parallel on the GPU.
-            words = self._gpu_delta_encode(words)
-        if cfg.use_bitshuffle:
-            stream = warp_bitshuffle(words)
-        else:
-            stream = words.view(np.uint8)
-        if cfg.use_zero_elim:
-            return self._encode_zero_elim(stream)
-        return stream.tobytes()
+    Only the per-chunk stage hooks are replaced; the codec control flow
+    (stage toggles, variant sharing, telemetry spans) is inherited, so
+    the GPU path accounts exactly like the CPU path.
+    """
 
-    @staticmethod
-    def _gpu_delta_encode(words: np.ndarray) -> np.ndarray:
+    def _delta_encode(self, words: np.ndarray) -> np.ndarray:
+        # Forward delta is embarrassingly parallel on the GPU.
         diff = np.empty_like(words)
         if words.size:
             diff[0] = words[0]
@@ -85,28 +73,10 @@ class GpuLosslessPipeline(LosslessPipeline):
                 np.subtract(words[1:], words[:-1], out=diff[1:])
         return to_negabinary(diff)
 
-    def _encode_chunk_traced(self, words: np.ndarray, tel) -> bytes:
-        """Encode with per-stage spans (same accounting as the CPU path)."""
-        words = np.ascontiguousarray(words, dtype=self.word_dtype)
-        cfg = self.config
-        if cfg.use_delta:
-            with tel.span("delta+negabinary", cat="encode",
-                          bytes_in=words.nbytes, bytes_out=words.nbytes):
-                words = self._gpu_delta_encode(words)
-        if cfg.use_bitshuffle:
-            with tel.span("bitshuffle", cat="encode", bytes_in=words.nbytes) as sp:
-                stream = warp_bitshuffle(words)
-                sp.set(bytes_out=stream.size)
-        else:
-            stream = words.view(np.uint8)
-        if cfg.use_zero_elim:
-            with tel.span("zero-elim", cat="encode", bytes_in=stream.size) as sp:
-                blob = self._encode_zero_elim(stream)
-                sp.set(bytes_out=len(blob))
-            return blob
-        return stream.tobytes()
+    def _bitshuffle(self, words: np.ndarray) -> np.ndarray:
+        return warp_bitshuffle(words)
 
-    def _encode_zero_elim(self, data: np.ndarray) -> bytes:
+    def _zero_elim(self, data: np.ndarray) -> bytes:
         data = np.ascontiguousarray(data, dtype=np.uint8)
         keep = data != 0
         payload = gpu_compact(data, keep)
@@ -126,59 +96,13 @@ class GpuLosslessPipeline(LosslessPipeline):
         parts.append(payload.tobytes())
         return b"".join(parts)
 
-    def decode_chunk(self, blob, n_words: int) -> np.ndarray:
-        tel = self.telemetry
-        if tel.enabled:
-            return self._decode_chunk_traced(blob, n_words, tel)
-        cfg = self.config
-        n_bytes = n_words * self.word_dtype.itemsize
-        if cfg.use_zero_elim:
-            stream = self._decode_zero_elim(blob, n_bytes)
-        else:
-            # In-place buffer read, mirroring the CPU pipeline's no-copy path.
-            if isinstance(blob, np.ndarray):
-                stream = np.ascontiguousarray(blob).view(np.uint8).reshape(-1)
-            else:
-                stream = np.frombuffer(blob, dtype=np.uint8)
-            if stream.size != n_bytes:
-                raise PFPLIntegrityError(f"chunk holds {stream.size} bytes, expected {n_bytes}")
-        if cfg.use_bitshuffle:
-            words = warp_bitunshuffle(stream, n_words, self.word_dtype)
-        else:
-            words = np.ascontiguousarray(stream).view(self.word_dtype).copy()
-        if cfg.use_delta:
-            words = gpu_delta_decode(words)
-        return words
+    def _bitunshuffle(self, stream: np.ndarray, n_words: int) -> np.ndarray:
+        return warp_bitunshuffle(stream, n_words, self.word_dtype)
 
-    def _decode_chunk_traced(self, blob, n_words: int, tel) -> np.ndarray:
-        """Decode with per-stage spans (mirrors the CPU traced path)."""
-        cfg = self.config
-        n_bytes = n_words * self.word_dtype.itemsize
-        if cfg.use_zero_elim:
-            blob_len = blob.nbytes if hasattr(blob, "nbytes") else len(blob)
-            with tel.span("zero-restore", cat="decode",
-                          bytes_in=blob_len, bytes_out=n_bytes):
-                stream = self._decode_zero_elim(blob, n_bytes)
-        else:
-            if isinstance(blob, np.ndarray):
-                stream = np.ascontiguousarray(blob).view(np.uint8).reshape(-1)
-            else:
-                stream = np.frombuffer(blob, dtype=np.uint8)
-            if stream.size != n_bytes:
-                raise PFPLIntegrityError(f"chunk holds {stream.size} bytes, expected {n_bytes}")
-        if cfg.use_bitshuffle:
-            with tel.span("bitunshuffle", cat="decode",
-                          bytes_in=stream.size, bytes_out=n_bytes):
-                words = warp_bitunshuffle(stream, n_words, self.word_dtype)
-        else:
-            words = np.ascontiguousarray(stream).view(self.word_dtype).copy()
-        if cfg.use_delta:
-            with tel.span("delta-decode", cat="decode",
-                          bytes_in=words.nbytes, bytes_out=words.nbytes):
-                words = gpu_delta_decode(words)
-        return words
+    def _delta_decode(self, words: np.ndarray) -> np.ndarray:
+        return gpu_delta_decode(words)
 
-    def _decode_zero_elim(self, blob, n: int) -> np.ndarray:
+    def _zero_restore(self, blob, n: int) -> np.ndarray:
         if isinstance(blob, np.ndarray):
             buf = np.ascontiguousarray(blob, dtype=np.uint8)
         else:

@@ -171,20 +171,17 @@ def _encode_shard(task: tuple) -> tuple:
     tel = Telemetry() if trace else NULL_TELEMETRY
     ctx = _shard_ctx(trace)
     kernel = _build_kernel(quantizer, config, chunk_bytes, tel)
-    if tel.enabled:
-        with tel.trace(ctx):
-            with tel.span(
-                "batch_encode", cat="chunk", trace=ctx,
-                first_chunk=lo, chunks=hi - lo,
-                values=(hi - lo) * block.shape[1],
-            ) as sp:
-                blobs, raws, pids, stats = kernel.encode_batch(block[lo:hi])
-                sp.set(
-                    bytes_out=sum(len(b) for b in blobs),
-                    outliers=stats.lossless, raw_chunks=stats.raw_chunks,
-                )
-    else:
-        blobs, raws, pids, stats = kernel.encode_batch(block[lo:hi])
+    with tel.trace(ctx):
+        with tel.span(
+            "batch_encode", cat="chunk", trace=ctx,
+            first_chunk=lo, chunks=hi - lo,
+            values=(hi - lo) * block.shape[1],
+        ) as sp:
+            blobs, raws, pids, stats = kernel.encode_batch(block[lo:hi])
+            sp.set(
+                bytes_out=sum(map(len, blobs)),
+                outliers=stats.lossless, raw_chunks=stats.raw_chunks,
+            )
     out = segs[enc_name].buf
     off = lo * raw_bytes
     end = hi * raw_bytes
@@ -226,15 +223,12 @@ def _decode_shard(task: tuple) -> tuple:
     out_mat = np.ndarray(
         (n_full, wpc), dtype=np.dtype(dtype_str), buffer=segs[out_name].buf
     )
-    if tel.enabled:
-        with tel.trace(ctx):
-            with tel.span(
-                "batch_decode", cat="chunk", trace=ctx, chunks=len(rows),
-                bytes_in=int(np.asarray(sizes, dtype=np.int64).sum()),
-            ):
-                out_mat[rows] = kernel.decode_batch(payload, starts, sizes, wpc)
-    else:
-        out_mat[rows] = kernel.decode_batch(payload, starts, sizes, wpc)
+    with tel.trace(ctx):
+        with tel.span(
+            "batch_decode", cat="chunk", trace=ctx, chunks=len(rows),
+            bytes_in=int(np.asarray(sizes, dtype=np.int64).sum()),
+        ):
+            out_mat[rows] = kernel.decode_batch(payload, starts, sizes, wpc)
     snap = tel.snapshot() if trace else None
     return snap, _worker_id
 
@@ -490,7 +484,7 @@ class ProcessPoolBackend(Backend):
         raw_bytes = wpc * block.dtype.itemsize
         tel = self.telemetry
         trace = bool(tel.enabled)
-        base = tel.current_trace() if tel.enabled else None
+        base = tel.current_trace()
         with self._lock:
             pool = self._ensure_pool()
             shm_in = self._arena("encode.in", block.nbytes)
@@ -505,7 +499,7 @@ class ProcessPoolBackend(Backend):
             )
             np.ndarray(block.shape, dtype=block.dtype, buffer=shm_in.buf)[:] = block
             shards = self._shards(n_rows)
-            t_submit = tel.now() if trace else 0.0
+            t_submit = tel.now()
             futures = [
                 pool.submit(_encode_shard, (
                     quantizer, config, chunk_bytes, shm_in.name,
@@ -563,7 +557,7 @@ class ProcessPoolBackend(Backend):
         n_full, _ = out_block.shape
         tel = self.telemetry
         trace = bool(tel.enabled)
-        base = tel.current_trace() if tel.enabled else None
+        base = tel.current_trace()
         with self._lock:
             pool = self._ensure_pool()
             shm_stream = self._arena("decode.in", len(stream))
@@ -572,7 +566,7 @@ class ProcessPoolBackend(Backend):
                 np.frombuffer(stream, dtype=np.uint8)
             )
             shards = self._shards(int(rows.size), costs=sizes[rows])
-            t_submit = tel.now() if trace else 0.0
+            t_submit = tel.now()
             futures = []
             for lo, hi in shards:
                 sel = rows[lo:hi]

@@ -49,6 +49,7 @@ import numpy as np
 from ..core.chunking import CHUNK_BYTES
 from ..core.compressor import PFPLCompressor
 from ..core.quantizers import make_quantizer
+from ..core.random_access import StreamDecoder
 from ..device.profile import profile_chunk
 from ..errors import PFPLUsageError
 from ..telemetry import Telemetry
@@ -377,12 +378,13 @@ def schedule_drift_check(
 ) -> ScheduleDriftReport:
     """Decode on a real thread pool and reconcile it with the simulator.
 
-    Compresses ``values`` quietly, then decompresses on a
-    :class:`~repro.device.backend.ThreadedBackend` with telemetry on
-    and the chunk-major batch path disabled -- the object under test is
-    the *per-chunk* scheduler, so decompression must issue exactly one
-    ``map_chunks`` call (size-table costs attached), whose
-    ``chunk_exec`` spans are the per-item ground truth.  Those measured durations are replayed through
+    Compresses ``values`` quietly, then decodes every chunk through a
+    :class:`~repro.core.random_access.StreamDecoder` on a
+    :class:`~repro.device.backend.ThreadedBackend` with telemetry on --
+    the object under test is the *per-chunk* scheduler, and
+    ``decode_all`` issues exactly one ``map_chunks`` call (size-table
+    costs attached), whose ``chunk_exec`` spans are the per-item ground
+    truth.  Those measured durations are replayed through
     :func:`~repro.device.scheduler.dynamic_schedule` with the pool's
     actual start order, and the simulated makespan/imbalance are
     compared against the measured per-worker busy seconds.
@@ -398,11 +400,7 @@ def schedule_drift_check(
 
     tel = Telemetry()
     backend = ThreadedBackend(n_threads=n_threads, telemetry=tel)
-    decoder = PFPLCompressor(
-        mode=mode, error_bound=error_bound, dtype=values.dtype,
-        backend=backend, telemetry=tel, use_batch=False,
-    )
-    decoder.decompress(stream)
+    StreamDecoder(stream, backend, telemetry=tel).decode_all()
 
     exec_spans = [s for s in tel.spans if s.name == "chunk_exec"]
     n_items = len(exec_spans)

@@ -30,7 +30,12 @@ from typing import BinaryIO, Iterator
 import numpy as np
 
 from .core.chunking import CHUNK_BYTES, ChunkCodec
-from .core.compressor import InlineBackend, resolve_format_options
+from .core.compressor import (
+    InlineBackend,
+    encode_one_chunk,
+    encode_chunks,
+    resolve_format_options,
+)
 from .core.floatbits import layout_for
 from .core.header import Header
 from .core.kernel import ChunkStats
@@ -69,7 +74,6 @@ class PFPLWriter:
         config: PipelineConfig | None = None,
         checksum: bool = False,
         telemetry=None,
-        use_batch: bool | None = None,
         format_version: int | None = None,
         pipelines=None,
     ):
@@ -83,11 +87,6 @@ class PFPLWriter:
         self.telemetry = telemetry or NULL_TELEMETRY
         backend = backend or InlineBackend()
         self._backend = backend
-        # Same dispatch rule as PFPLCompressor: chunk-major batching when
-        # the backend is batch-capable (or forced), per-chunk otherwise.
-        if use_batch is None:
-            use_batch = bool(getattr(backend, "batch_capable", False))
-        self._use_batch = use_batch
 
         kwargs = {}
         if mode == "noa":
@@ -151,71 +150,10 @@ class PFPLWriter:
     # -- building ------------------------------------------------------------
 
     def _flush_chunk(self, float_slice: np.ndarray) -> None:
-        tel = self.telemetry
-        if tel.enabled:
-            with tel.chunk(len(self._table_entries)), tel.span(
-                "chunk_encode", cat="chunk", values=int(float_slice.size)
-            ) as sp:
-                blob, raw, pid, st = self._kernel.encode_chunk(float_slice)
-                sp.set(bytes_out=len(blob), outliers=st.lossless, raw=bool(raw))
-        else:
-            blob, raw, pid, st = self._kernel.encode_chunk(float_slice)
-        self._spool.write(blob)
-        self._table_entries.append(len(blob))
-        self._raw_flags.append(raw)
-        self._pids.append(int(pid))
-        if self.checksum:
-            self._chunk_crcs.append(zlib.crc32(blob))
-        self._stats += st
-        self._payload_bytes += len(blob)
-
-    def _flush_batch(self, block: np.ndarray) -> None:
-        """Flush a ``(n_chunks, words_per_chunk)`` block of full chunks
-        through the backend's chunk-major batch kernels."""
-        tel = self.telemetry
-        first = len(self._table_entries)
-
-        if getattr(self._backend, "offload_capable", False):
-            # Whole-array offload (process pools): the backend takes the
-            # block plus the picklable kernel spec; closures cannot cross
-            # a process boundary.
-            quantizer = self._kernel.quantizer
-            chunk_bytes = self._kernel.chunk_bytes
-            if tel.enabled:
-                with tel.span(
-                    "offload_encode", cat="scheduler", chunks=block.shape[0],
-                    first_chunk=first, values=int(block.size),
-                ) as sp:
-                    blobs, raws, pids, st = self._backend.encode_array(
-                        quantizer, self.config, chunk_bytes, block
-                    )
-                    sp.set(bytes_out=sum(len(b) for b in blobs))
-            else:
-                blobs, raws, pids, st = self._backend.encode_array(
-                    quantizer, self.config, chunk_bytes, block
-                )
-            self._write_blobs(blobs, raws, pids, st)
-            return
-
-        def encode_rows(lo: int, hi: int):
-            if not tel.enabled:
-                return self._kernel.encode_batch(block[lo:hi])
-            with tel.span(
-                "batch_encode", cat="chunk", first_chunk=first + lo,
-                chunks=hi - lo, values=(hi - lo) * self._wpc,
-            ) as sp:
-                blobs, raws, pids, st = self._kernel.encode_batch(block[lo:hi])
-                sp.set(
-                    bytes_out=sum(len(b) for b in blobs),
-                    chunk_bytes_out=[len(b) for b in blobs],
-                    outliers=st.lossless, raw_chunks=st.raw_chunks,
-                )
-            return blobs, raws, pids, st
-
-        for blobs, raws, pids, st in self._backend.map_batch(
-            encode_rows, block.shape[0]
-        ):
-            self._write_blobs(blobs, raws, pids, st)
+        """Encode the staged chunk on the per-chunk kernel and spool it."""
+        self._write_blobs(*encode_one_chunk(
+            self._kernel, self.telemetry, len(self._table_entries), float_slice
+        ))
 
     def _write_blobs(self, blobs, raws, pids, st: ChunkStats) -> None:
         """Spool encoded blobs and record their table entries."""
@@ -260,13 +198,12 @@ class PFPLWriter:
                 self._flush_chunk(self._pending)
                 self._pending_len = 0
         n_full = (flat.size - pos) // self._wpc
-        if n_full and self._use_batch:
-            block = flat[pos:pos + n_full * self._wpc].reshape(n_full, self._wpc)
-            self._flush_batch(block)
-        else:
-            for i in range(n_full):
-                lo = pos + i * self._wpc
-                self._flush_chunk(flat[lo:lo + self._wpc])
+        if n_full:
+            # Same encode driver (and execution shape) as compress().
+            self._write_blobs(*encode_chunks(
+                self._backend, self._kernel, flat[pos:pos + n_full * self._wpc],
+                self.telemetry, first_chunk=len(self._table_entries),
+            ))
         pos += n_full * self._wpc
         tail = flat.size - pos
         if tail:
@@ -328,17 +265,13 @@ class PFPLWriter:
                 self._pids if self.config.select else None,
             )
             prefix = header.pack() + table.astype("<u4").tobytes()
-            tel = self.telemetry
-            if tel.enabled:
-                # The writer's analogue of backend.assemble: draining the
-                # spool into the sink places every chunk at its offset.
-                with tel.span(
-                    "assemble", cat="encode",
-                    bytes_in=len(prefix) + self._payload_bytes,
-                    bytes_out=len(prefix) + self._payload_bytes,
-                ):
-                    self._drain_spool(prefix)
-            else:
+            # The writer's analogue of backend.assemble: draining the
+            # spool into the sink places every chunk at its offset.
+            with self.telemetry.span(
+                "assemble", cat="encode",
+                bytes_in=len(prefix) + self._payload_bytes,
+                bytes_out=len(prefix) + self._payload_bytes,
+            ):
                 self._drain_spool(prefix)
             if self.checksum:
                 crcs = np.empty(1 + len(self._chunk_crcs), dtype="<u4")

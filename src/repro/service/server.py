@@ -297,8 +297,8 @@ class PFPLService:
             "X-PFPL-Count": str(out.size),
         }
 
-    def _execute_traced(
-        self, op: str, request: Request, ctx: TraceContext | None, t_admit: float
+    def _execute_job(
+        self, op: str, request: Request, ctx: TraceContext, t_admit: float
     ) -> tuple[int, bytes, dict, float, float]:
         """Job-thread wrapper around :meth:`_execute` with trace binding.
 
@@ -311,9 +311,6 @@ class PFPLService:
         tel = self.telemetry
         t0 = time.perf_counter()
         queue_wait = t0 - t_admit
-        if not tel.enabled or ctx is None:
-            status, body, headers = self._execute(op, request)
-            return status, body, headers, queue_wait, time.perf_counter() - t0
         job_ctx = ctx.child(0)
         with tel.trace(job_ctx):
             with tel.span("job_exec", cat="service", trace=job_ctx,
@@ -355,9 +352,8 @@ class PFPLService:
         inbound = TraceContext.from_traceparent(request.headers.get("traceparent"))
         ctx = TraceContext.mint(parent=inbound)
         if not self._admit():
-            if tel.enabled:
-                tel.add("service_rejected_total", 1, tenant=tenant, op=op,
-                        reason="draining" if self._draining else "queue_full")
+            tel.add("service_rejected_total", 1, tenant=tenant, op=op,
+                    reason="draining" if self._draining else "queue_full")
             self._log_access(ctx, tenant, op, 503, len(request.body), 0, 0.0, 0.0)
             return format_response(
                 503, b"request queue full, retry later", "text/plain",
@@ -366,37 +362,28 @@ class PFPLService:
         loop = asyncio.get_running_loop()
         t_admit = time.perf_counter()
         try:
-            if tel.enabled:
-                tel.begin_trace(ctx, op=op, tenant=tenant)
-                # The service span *is* the request context (explicit
-                # ``trace=``, not a thread binding: concurrent requests
-                # interleave on this event-loop thread).
-                with tel.span(op, cat="service", trace=ctx, tenant=tenant,
-                              bytes_in=len(request.body)):
-                    status, body, headers, queue_wait, handler = (
-                        await loop.run_in_executor(
-                            self._jobs, self._execute_traced, op, request,
-                            ctx, t_admit,
-                        )
-                    )
-                tel.finish_trace(ctx.trace_id, status=status)
-            else:
+            tel.begin_trace(ctx, op=op, tenant=tenant)
+            # The service span *is* the request context (explicit
+            # ``trace=``, not a thread binding: concurrent requests
+            # interleave on this event-loop thread).
+            with tel.span(op, cat="service", trace=ctx, tenant=tenant,
+                          bytes_in=len(request.body)):
                 status, body, headers, queue_wait, handler = (
                     await loop.run_in_executor(
-                        self._jobs, self._execute_traced, op, request,
-                        None, t_admit,
+                        self._jobs, self._execute_job, op, request,
+                        ctx, t_admit,
                     )
                 )
+            tel.finish_trace(ctx.trace_id, status=status)
         finally:
             self._release()
-        if tel.enabled:
-            tel.add("service_requests_total", 1, tenant=tenant, op=op,
-                    status=str(status))
-            tel.add("service_bytes_in_total", len(request.body),
+        tel.add("service_requests_total", 1, tenant=tenant, op=op,
+                status=str(status))
+        tel.add("service_bytes_in_total", len(request.body),
+                tenant=tenant, op=op)
+        if status == 200:
+            tel.add("service_bytes_out_total", len(body),
                     tenant=tenant, op=op)
-            if status == 200:
-                tel.add("service_bytes_out_total", len(body),
-                        tenant=tenant, op=op)
         self._log_access(ctx, tenant, op, status, len(request.body),
                          len(body) if status == 200 else 0, queue_wait, handler)
         headers = dict(headers)
@@ -493,8 +480,7 @@ class PFPLService:
                 response = format_response(exc.status, str(exc).encode(),
                                            "text/plain")
             except Exception:
-                if tel.enabled:
-                    tel.add("service_errors_total", 1)
+                tel.add("service_errors_total", 1)
                 response = format_response(500, b"internal error", "text/plain")
             writer.write(response)
             await writer.drain()

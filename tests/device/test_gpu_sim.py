@@ -62,6 +62,41 @@ class TestGpuPipeline:
         assert np.array_equal(gpu.decode_chunk(ref.encode_chunk(words), words.size), words)
 
 
+class TestGpuKernelsRunUnderSelection:
+    """The GPU backend's compress must run its own warp kernels -- with
+    format v3 selection too, where every chunk goes through the inherited
+    ``encode_variants`` control flow -- and still match the serial bytes."""
+
+    @staticmethod
+    def _count_warp_shuffles(monkeypatch, **fmt):
+        from repro.core.compressor import compress
+        from repro.device import gpu_sim
+        from repro.device.backend import GpuSimBackend
+
+        calls = []
+        warp_bitshuffle = gpu_sim.warp_bitshuffle
+
+        def counting(words):
+            calls.append(words.size)
+            return warp_bitshuffle(words)
+
+        data = np.cumsum(
+            np.random.default_rng(3).normal(0, 0.01, 10 * 4096)
+        ).astype(np.float32)
+        with monkeypatch.context() as m:
+            m.setattr(gpu_sim, "warp_bitshuffle", counting)
+            stream = compress(data, error_bound=1e-3, backend=GpuSimBackend(), **fmt)
+        assert stream == compress(data, error_bound=1e-3, **fmt)
+        return len(calls)
+
+    def test_v3_selection_uses_warp_bitshuffle(self, monkeypatch):
+        # One shared bitshuffle per chunk across the three candidates.
+        assert self._count_warp_shuffles(monkeypatch, format_version=3) == 10
+
+    def test_v1_uses_warp_bitshuffle(self, monkeypatch):
+        assert self._count_warp_shuffles(monkeypatch, format_version=1) == 10
+
+
 class TestGpuPrimitives:
     @pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
     def test_delta_decode_matches_reference(self, dtype):

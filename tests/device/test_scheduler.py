@@ -135,12 +135,15 @@ class TestSimulationVsReality:
         from repro.device.backend import ThreadedBackend
         from repro.device.scheduler import submission_order
 
+        class PerChunkThreadedBackend(ThreadedBackend):
+            # The per-chunk scheduler is the object under test; decline
+            # batches (batched decode issues map_batch shards, not one
+            # map_chunks call per chunk).
+            batch_capable = False
+
         stream = compress(smooth_f32, mode="abs", error_bound=1e-3)
-        backend = ThreadedBackend(n_threads=1)
-        # The per-chunk scheduler is the object under test; pin the
-        # per-chunk path (batched decode issues map_batch shards, not
-        # one map_chunks call per chunk).
-        decompress(stream, backend=backend, use_batch=False)
+        backend = PerChunkThreadedBackend(n_threads=1)
+        decompress(stream, backend=backend)
         # Feed the simulator the stream's real size table (decode costs).
         from repro.core.random_access import StreamDecoder
 

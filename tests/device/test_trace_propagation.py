@@ -6,8 +6,8 @@ pins the backend-layer contracts in isolation:
 - a context bound on the submitting thread reaches ``ThreadedBackend``
   pool threads (``chunk_exec`` spans link to the request);
 - the per-chunk fallback path (``map_chunks`` over the ragged tail, or
-  ``use_batch=False`` entirely) carries the *same* trace id as the
-  batch path;
+  a backend that declines batches entirely) carries the *same* trace id
+  as the batch path;
 - procpool shard descriptors rebuild worker contexts, and propagation
   survives a worker-pool recycle (close + lazy rebuild forks fresh
   workers);
@@ -20,6 +20,12 @@ import pytest
 from repro.core.compressor import PFPLCompressor
 from repro.device.backend import ProcessPoolBackend, ThreadedBackend
 from repro.telemetry import Telemetry, TraceContext
+
+
+class PerChunkThreadedBackend(ThreadedBackend):
+    """Thread pool that declines chunk-major batches (per-chunk path)."""
+
+    batch_capable = False
 
 
 def _signal(n=120_000, dtype=np.float64):
@@ -76,8 +82,8 @@ class TestThreadedPropagation:
 
     def test_forced_per_chunk_path_joins_trace(self):
         ctx, spans, _ = _traced_compress(
-            lambda tel: ThreadedBackend(n_threads=2, telemetry=tel),
-            _signal(n=60_000), use_batch=False,
+            lambda tel: PerChunkThreadedBackend(n_threads=2, telemetry=tel),
+            _signal(n=60_000),
         )
         per_chunk = [s for s in spans if s.name == "chunk_encode"]
         assert per_chunk

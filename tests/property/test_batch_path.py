@@ -1,10 +1,10 @@
 """Property suite for the chunk-major batch path.
 
 The batched formulation must be invisible in the stream: for every
-case, compressing with ``use_batch=True`` and ``use_batch=False`` emits
-byte-identical streams, and decoding either way reproduces the same
-floats.  Cases focus on what the dispatch rule has to get right --
-chunk-boundary sizes (is the tail full-size or ragged?), raw-fallback
+case, compressing on the default (batch-capable) backend and on a
+per-chunk backend emits byte-identical streams, and decoding either way
+reproduces the same floats.  Cases focus on what the dispatch rule has
+to get right -- chunk-boundary sizes (is the tail full-size or ragged?), raw-fallback
 mixes (which rows batch, which stay per-chunk?), and non-finite salting
 -- plus the drift contract: the decode-side analytic model must match
 the telemetry measured on the *batched* path exactly.
@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.compressor import PFPLCompressor, decompress
 from repro.core.verify import check_bound
+from repro.device.backend import SerialBackend
 from repro.harness.drift import drift_check
 
 from .cases import ALL_CASES, Case, make_values, values_per_chunk
@@ -34,18 +35,25 @@ _BATCH_CASES = [
 ]
 
 
+class PerChunkBackend(SerialBackend):
+    """The per-chunk reference shape: a serial backend that declines
+    chunk-major batches, so every chunk runs the per-chunk kernel."""
+
+    batch_capable = False
+
+
 def _roundtrip_both_ways(data: np.ndarray, mode: str, bound: float):
     """(batched stream, per-chunk stream, batched floats, per-chunk floats)."""
     batched = PFPLCompressor(
-        mode=mode, error_bound=bound, dtype=data.dtype, use_batch=True,
+        mode=mode, error_bound=bound, dtype=data.dtype,
     ).compress(data).data
     chunked = PFPLCompressor(
-        mode=mode, error_bound=bound, dtype=data.dtype, use_batch=False,
+        mode=mode, error_bound=bound, dtype=data.dtype, backend=PerChunkBackend(),
     ).compress(data).data
     return (
         batched, chunked,
-        decompress(batched, use_batch=True),
-        decompress(batched, use_batch=False),
+        decompress(batched),
+        decompress(batched, backend=PerChunkBackend()),
     )
 
 
@@ -110,12 +118,11 @@ def test_telemetry_does_not_change_batched_bytes():
     rng = np.random.default_rng(0xD81F8)
     data = np.cumsum(rng.normal(0, 0.01, 2 * wpc + 5)).astype(np.float32)
     plain = PFPLCompressor(
-        mode="abs", error_bound=1e-3, dtype=data.dtype, use_batch=True,
+        mode="abs", error_bound=1e-3, dtype=data.dtype,
     ).compress(data).data
     tel = Telemetry()
     traced = PFPLCompressor(
-        mode="abs", error_bound=1e-3, dtype=data.dtype, use_batch=True,
-        telemetry=tel,
+        mode="abs", error_bound=1e-3, dtype=data.dtype, telemetry=tel,
     ).compress(data).data
     assert plain == traced
     spans = [s.name for s in tel.spans]

@@ -29,6 +29,7 @@ from repro.core.compressor import PFPLCompressor, compress, decompress
 from repro.core.header import HEADER_BYTES, Header
 from repro.core.lossless.pipeline import PIPELINE_VARIANTS
 from repro.core.verify import check_bound
+from repro.device.backend import SerialBackend
 from repro.telemetry import Telemetry
 
 from .cases import ALL_CASES, Case, make_values, values_per_chunk
@@ -152,18 +153,24 @@ def test_mixed_stream_exercises_every_pipeline_id():
     assert live == {0, 1, 2}, f"pipeline ids selected: {live}"
 
 
+class PerChunkBackend(SerialBackend):
+    """Serial backend that declines chunk-major batches (per-chunk path)."""
+
+    batch_capable = False
+
+
 def test_batch_and_per_chunk_paths_byte_identical_with_all_pids():
     data = _mixed_all_pids()
     streams = {}
-    for use_batch in (False, True):
+    for per_chunk, backend in ((True, PerChunkBackend()), (False, None)):
         comp = PFPLCompressor(
             mode="abs", error_bound=1e-4, dtype=data.dtype,
-            format_version=3, use_batch=use_batch,
+            format_version=3, backend=backend,
         )
-        streams[use_batch] = comp.compress(data).data
-    assert streams[False] == streams[True]
-    for use_batch in (False, True):
-        recon = decompress(streams[True], use_batch=use_batch)
+        streams[per_chunk] = comp.compress(data).data
+    assert streams[True] == streams[False]
+    for backend in (PerChunkBackend(), None):
+        recon = decompress(streams[False], backend=backend)
         assert check_bound("abs", data, recon, 1e-4).ok
 
 

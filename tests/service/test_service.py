@@ -6,7 +6,13 @@ framework, matching the server's hand-rolled wire handling).
 """
 
 import asyncio
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,6 +251,68 @@ class TestGracefulShutdown:
         ok_status, drain_line = asyncio.run(drive())
         assert ok_status == 200
         assert b"503" in drain_line
+
+
+def _live_group_members(pgid: int) -> list[int]:
+    """Pids of non-zombie processes in process group ``pgid`` (Linux /proc)."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except OSError:
+            continue
+        # "pid (comm) state ppid pgrp ...": comm may hold spaces or ")".
+        state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry))
+    return members
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs Linux /proc")
+class TestServeSignals:
+    def test_sigterm_at_readiness_drains_and_stops_workers(self):
+        # SIGTERM the CLI server the moment its readiness line is read:
+        # the handler must already be installed, so the server drains,
+        # closes its procpool, and leaves no worker alive.  Its own
+        # session makes the workers findable by process group after the
+        # server has exited.
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--backend", "procpool", "--workers", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env, start_new_session=True,
+        )
+        try:
+            lines = []
+            for line in proc.stdout:
+                lines.append(line)
+                if "listening on" in line:
+                    proc.send_signal(signal.SIGTERM)
+                    break
+            out, _ = proc.communicate(timeout=60)
+            out = "".join(lines) + out
+            assert proc.returncode == 0, out
+            assert "pfpl serve stopped" in out, out
+            deadline = time.monotonic() + 10
+            while _live_group_members(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _live_group_members(proc.pid) == [], out
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 class TestProtocol:

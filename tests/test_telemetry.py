@@ -386,9 +386,10 @@ class TestDisabled:
             comp.compress(data)
             times.append(time.perf_counter() - t0)
         best = min(times)
-        # One attribute check per chunk cannot cost a meaningful fraction
-        # of a multi-MB compress; 8 MB in >2 s would mean the instrumented
-        # hot path regressed by an order of magnitude.
+        # The null spans of a batched compress (a few per 64-chunk shard)
+        # cannot cost a meaningful fraction of a multi-MB compress; 8 MB
+        # in >2 s would mean the instrumented path regressed by an order
+        # of magnitude.
         assert best < 2.0, f"null-telemetry compress took {best:.2f}s for 8 MB"
 
 
