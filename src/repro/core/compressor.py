@@ -671,8 +671,9 @@ def decompress(
                                     f"chunk {int(index)} checksum mismatch "
                                     "(stream corrupted)"
                                 )
-                    out_block[sel] = kernel.decode_batch(
-                        payload, starts[sel], sizes[sel], wpc, pipeline_id=pid
+                    kernel.decode_rows(
+                        payload, starts[sel], sizes[sel], sel, wpc, out_block,
+                        pipeline_id=pid,
                     )
 
             backend.map_batch(decode_rows, int(rows.size), costs=sizes[rows])

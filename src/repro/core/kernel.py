@@ -37,7 +37,7 @@ from .lossless.pipeline import PIPELINE_VARIANTS, LosslessPipeline
 from .quantizers import Quantizer
 from .scratch import scratch
 
-__all__ = ["ChunkKernel", "ChunkStats"]
+__all__ = ["ChunkKernel", "ChunkStats", "row_run"]
 
 
 @dataclass
@@ -64,6 +64,17 @@ class ChunkStats:
 def _padded_words(n_values: int) -> int:
     """Word count after shuffle-alignment padding (multiple of 8)."""
     return ((n_values + 7) // 8) * 8
+
+
+def row_run(rows: np.ndarray) -> slice | None:
+    """``rows`` as a slice when it is a run of consecutive indices.
+
+    ``rows`` must be strictly increasing (size-table order); returns
+    ``None`` for an empty or gapped row set.
+    """
+    if rows.size and int(rows[-1]) - int(rows[0]) == rows.size - 1:
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return None
 
 
 class ChunkKernel:
@@ -272,3 +283,32 @@ class ChunkKernel:
                 f"batch of {n_chunks} chunks failed to decode: {exc}"
             ) from exc
         return out
+
+    def decode_rows(
+        self,
+        stream: np.ndarray,
+        starts: np.ndarray,
+        sizes: np.ndarray,
+        rows: np.ndarray,
+        n_words: int,
+        out_block: np.ndarray,
+        pipeline_id: int = 0,
+    ) -> None:
+        """:meth:`decode_batch` the chunks at ``rows`` into ``out_block``.
+
+        ``rows`` (strictly increasing) index the rows of ``out_block``;
+        ``starts``/``sizes`` locate the same chunks' blobs.  A run of
+        consecutive rows -- every batch of a v1/v2 stream without raw
+        chunks -- decodes straight into its slice of the block; a gapped
+        row set decodes into a fresh block that is scattered across.
+        """
+        run = row_run(rows)
+        if run is not None:
+            self.decode_batch(
+                stream, starts, sizes, n_words, out=out_block[run],
+                pipeline_id=pipeline_id,
+            )
+        else:
+            out_block[rows] = self.decode_batch(
+                stream, starts, sizes, n_words, pipeline_id=pipeline_id
+            )

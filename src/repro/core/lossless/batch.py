@@ -10,10 +10,13 @@ matrix, and the only per-chunk work left is slicing each chunk's ragged
 segments out of the compacted row-major arrays.
 
 Raggedness is handled with the codec's own prefix-sum idiom
-(:func:`row_offsets` mirrors ``Backend.prefix_sum``): per-row kept-byte
-counts become exclusive start offsets, and :func:`ragged_gather` /
-:func:`repeat_restore_batch` turn those offsets into one fancy-indexed
-gather or scatter instead of a Python loop.
+(:func:`row_offsets` mirrors ``Backend.prefix_sum``) on the encode side.
+The decoder's cost follows the bytes present instead: each row's kept
+count is a popcount of its packed bitmap, each row's segment is one
+plain slice of the stream (bounds-checked against the size table first),
+and each repeat-elimination level is restored by run length
+(:func:`repeat_restore_batch`) -- no index array as long as the payload
+is ever built.
 
 Every function is bit-identical to mapping its per-chunk counterpart
 over the rows (golden-tested), which is what lets the batched kernel
@@ -31,7 +34,6 @@ from .zerobyte import DEFAULT_LEVELS, bitmap_sizes
 
 __all__ = [
     "row_offsets",
-    "ragged_gather",
     "zero_eliminate_batch",
     "repeat_eliminate_batch",
     "repeat_restore_batch",
@@ -51,23 +53,6 @@ def row_offsets(counts: np.ndarray) -> np.ndarray:
     if counts.size > 1:
         np.cumsum(counts[:-1], out=offsets[1:])
     return offsets
-
-
-def ragged_gather(source: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Gather ``counts[i]`` consecutive elements from ``source[starts[i]]``.
-
-    Returns the row-major concatenation of all segments -- the inverse
-    of the prefix-sum scatter that wrote them.  Raises ``IndexError``
-    (mapped to :class:`~repro.errors.PFPLIntegrityError` by callers) if
-    any segment reaches past the end of ``source``.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum(dtype=np.int64))
-    if not total:
-        return source[:0]
-    starts = np.asarray(starts, dtype=np.int64)
-    intra = np.arange(total, dtype=np.int64) - np.repeat(row_offsets(counts), counts)
-    return source[np.repeat(starts, counts) + intra]
 
 
 def zero_eliminate_batch(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -114,23 +99,30 @@ def repeat_restore_batch(
     """Row-wise :func:`~repro.core.lossless.zerobyte.repeat_restore`.
 
     ``keep`` is the ``(n_chunks, n)`` boolean keep mask (already
-    unpacked), ``kept_flat``/``counts`` the compacted kept bytes.  The
-    per-row forward fill becomes one gather out of a flat fill table
-    with a 0x00 seed planted at every row's base offset.
+    unpacked), ``kept_flat``/``counts`` the compacted kept bytes.  Each
+    row is a sequence of runs: one opens at every kept byte and lasts up
+    to the next, and a row whose first bit is clear opens with a run of
+    its 0x00 seed.  Restoring the level is one ``np.repeat`` of the run
+    values by their lengths over the whole matrix.
     """
+    keep = np.asarray(keep, dtype=np.bool_)
+    rows, n = keep.shape
     counts = np.asarray(counts, dtype=np.int64)
     kept_flat = np.ascontiguousarray(kept_flat, dtype=np.uint8)
-    # fill table per row: [0x00, kept...]; rows laid out back to back.
-    base = row_offsets(counts + 1)
-    fill = np.zeros(int(counts.sum(dtype=np.int64)) + counts.size, dtype=np.uint8)
-    if kept_flat.size:
-        intra = np.arange(kept_flat.size, dtype=np.int64) - np.repeat(
-            row_offsets(counts), counts
-        )
-        fill[np.repeat(base + 1, counts) + intra] = kept_flat
-    # out[r, i] = latest kept byte of row r at or before i (0x00 seed).
-    rank = np.cumsum(keep, axis=1, dtype=np.int64)
-    return fill[base[:, None] + rank]
+    # Run list, row-major: every row's kept bytes, plus a 0x00 seed run
+    # slotted in ahead of the first kept byte of each row that opens
+    # without one (run index = kept index + seeds before it).
+    seeded = np.flatnonzero(~keep[:, 0])
+    n_runs = kept_flat.size + seeded.size
+    is_kept = np.ones(n_runs, dtype=np.bool_)
+    is_kept[row_offsets(counts)[seeded] + np.arange(seeded.size, dtype=np.int64)] = False
+    values = np.zeros(n_runs, dtype=np.uint8)
+    values[is_kept] = kept_flat
+    heads = np.empty(n_runs + 1, dtype=np.int64)
+    heads[:-1][is_kept] = np.flatnonzero(keep)
+    heads[:-1][~is_kept] = seeded * n
+    heads[-1] = rows * n
+    return np.repeat(values, heads[1:] - heads[:-1]).reshape(rows, n)
 
 
 def compress_bytes_batch(data: np.ndarray, levels: int = DEFAULT_LEVELS) -> list[bytes]:
@@ -166,6 +158,48 @@ def compress_bytes_batch(data: np.ndarray, levels: int = DEFAULT_LEVELS) -> list
     return blobs
 
 
+def _popcounts(bitmap: np.ndarray, n_bits: int) -> np.ndarray:
+    """Set bits among the first ``n_bits`` bits of each packed bitmap row.
+
+    Clears each row's padding bits (in place) first: the restore reads
+    exactly ``n_bits`` bits (``unpackbits(count=)``), so a stray padding
+    bit in a hostile stream must not count either.
+    """
+    rem = n_bits % 8
+    if rem:
+        bitmap[:, -1] &= np.uint8(0xFF00 >> rem & 0xFF)
+    return np.bitwise_count(bitmap).sum(axis=1, dtype=np.int64)
+
+
+def _advance(
+    pos: np.ndarray, counts: np.ndarray | int, starts: np.ndarray, ends: np.ndarray,
+    what: str,
+) -> np.ndarray:
+    """Move every row's cursor past its next ``counts`` bytes.
+
+    One vectorised check that each row's segment ends inside its own
+    size-table extent, made before any segment is sliced (a slice would
+    silently stop at the end of the stream, or read the next chunk).
+    """
+    nxt = pos + counts
+    over = nxt > ends
+    if over.any():
+        i = int(np.argmax(over))
+        raise PFPLIntegrityError(
+            f"stage L3 {what} of batched chunk {i} (blob at payload offset "
+            f"{int(starts[i])}) runs {int(nxt[i] - ends[i])} bytes past its "
+            f"size-table extent"
+        )
+    return nxt
+
+
+def _segments(stream: np.ndarray, pos: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenate ``stream[pos[i]:pos[i] + counts[i]]`` over the rows."""
+    return np.concatenate(
+        [stream[p:p + c] for p, c in zip(pos.tolist(), counts.tolist())]
+    )
+
+
 def decompress_bytes_batch(
     stream: np.ndarray,
     starts: np.ndarray,
@@ -177,42 +211,46 @@ def decompress_bytes_batch(
 
     ``stream`` is the whole payload as uint8; ``starts``/``sizes`` locate
     each chunk's blob (all chunks decode to the same ``n`` bytes, i.e.
-    full-size non-raw chunks).  Returns the ``(n_chunks, n)`` restored
-    byte matrix.  Corrupt blobs -- segments running past the stream or a
-    byte count that disagrees with the size table -- raise
-    :class:`~repro.errors.PFPLIntegrityError` before any output is used,
-    matching the per-chunk decoder's guarantees.
+    full-size non-raw chunks).  Returns a fresh ``(n_chunks, n)`` restored
+    byte matrix.  Corrupt blobs -- a segment running past its chunk's
+    size-table extent, or a byte count that disagrees with the size
+    table -- raise :class:`~repro.errors.PFPLIntegrityError` before any
+    segment is read, matching the per-chunk decoder's guarantees.
     """
     starts = np.asarray(starts, dtype=np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)
+    rows = starts.size
+    if not rows:
+        return np.zeros((0, n), dtype=np.uint8)
+    ends = starts + sizes
+    if int(starts.min()) < 0 or int(ends.max()) > stream.size:
+        i = int(np.argmax((starts < 0) | (ends > stream.size)))
+        raise PFPLIntegrityError(
+            f"stage L3 blob of batched chunk {i} lies outside the "
+            f"{stream.size}-byte payload"
+        )
     level_sizes = bitmap_sizes(n, levels)
     top = level_sizes[levels]
-    pos = starts + top
-    try:
-        bitmap = stream[starts[:, None] + np.arange(top, dtype=np.int64)]
-        for lvl in range(levels, 0, -1):
-            target = level_sizes[lvl - 1]
-            keep = np.unpackbits(bitmap, axis=1, count=target).astype(bool)
-            counts = keep.sum(axis=1, dtype=np.int64)
-            kept = ragged_gather(stream, pos, counts)
-            pos = pos + counts
-            bitmap = repeat_restore_batch(keep, kept, counts)
-        keep = np.unpackbits(bitmap, axis=1, count=n).astype(bool)
-        counts = keep.sum(axis=1, dtype=np.int64)
-        payload = ragged_gather(stream, pos, counts)
-        pos = pos + counts
-    except IndexError as exc:
-        raise PFPLIntegrityError(
-            f"stage L3 batch decode reads past the stream: {exc}"
-        ) from exc
-    ends = starts + sizes
-    if not np.array_equal(pos, ends):
-        bad = int(np.argmax(pos != ends))
+    pos = _advance(starts, top, starts, ends, "top bitmap")
+    bitmap = stream[starts[:, None] + np.arange(top, dtype=np.int64)]
+    for lvl in range(levels, 0, -1):
+        target = level_sizes[lvl - 1]
+        counts = _popcounts(bitmap, target)
+        nxt = _advance(pos, counts, starts, ends, f"level-{lvl - 1} bitmap")
+        kept = _segments(stream, pos, counts)
+        pos = nxt
+        keep = np.unpackbits(bitmap, axis=1, count=target).view(np.bool_)
+        bitmap = repeat_restore_batch(keep, kept, counts)
+    counts = _popcounts(bitmap, n)
+    nxt = _advance(pos, counts, starts, ends, "payload")
+    if not np.array_equal(nxt, ends):
+        bad = int(np.argmax(nxt != ends))
         raise PFPLIntegrityError(
             f"stage L3 blob of batched chunk {bad} spans "
-            f"{int(pos[bad] - starts[bad])} bytes, size table claims "
+            f"{int(nxt[bad] - starts[bad])} bytes, size table claims "
             f"{int(sizes[bad])}"
         )
-    out = np.zeros((starts.size, n), dtype=np.uint8)
-    out[keep] = payload
+    payload = _segments(stream, pos, counts)
+    out = np.zeros((rows, n), dtype=np.uint8)
+    out[np.unpackbits(bitmap, axis=1, count=n).view(np.bool_)] = payload
     return out

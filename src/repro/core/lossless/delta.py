@@ -75,9 +75,27 @@ def delta_encode_batch(words: np.ndarray, out: np.ndarray | None = None) -> np.n
     return diff
 
 
-def delta_decode_batch(words: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`delta_decode` (wrapping prefix sum per chunk)."""
+def delta_decode_batch(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise :func:`delta_decode` (wrapping prefix sum per chunk).
+
+    ``out`` (same shape/dtype) receives the result; it may be ``words``
+    itself, which decodes in place -- the batch pipeline passes the
+    freshly unshuffled word block, so the stage allocates nothing.
+    """
     words = np.asarray(words)
-    diff = from_negabinary(words)
+    if words.dtype not in (np.dtype(np.uint32), np.dtype(np.uint64)):
+        raise TypeError(f"delta stage expects uint32/uint64 words, got {words.dtype}")
+    if out is None:
+        out = np.empty_like(words)
+    elif out.shape != words.shape or out.dtype != words.dtype:
+        raise TypeError(
+            f"delta out buffer is {out.dtype}{out.shape}, "
+            f"expected {words.dtype}{words.shape}"
+        )
+    mask = negabinary_mask(words.dtype)
     with np.errstate(over="ignore"):
-        return np.cumsum(diff, axis=1, dtype=words.dtype)
+        # from_negabinary, fused in place: (n ^ M) - M, then the scan.
+        np.bitwise_xor(words, mask, out=out)
+        np.subtract(out, mask, out=out)
+        np.cumsum(out, axis=1, dtype=out.dtype, out=out)
+    return out

@@ -424,11 +424,12 @@ class LosslessPipeline:
                           bytes_in=planes.size, bytes_out=n_chunks * n_bytes):
                 words = bitunshuffle_batch(planes, self.word_dtype)
         else:
-            words = np.ascontiguousarray(planes).view(self.word_dtype).copy()
+            # Both plane sources return a fresh matrix: reinterpret it.
+            words = planes.view(self.word_dtype)
         if cfg.use_delta:
             with tel.span("delta-decode", cat="decode", chunks=n_chunks,
                           bytes_in=words.nbytes, bytes_out=words.nbytes):
-                words = delta_decode_batch(words)
+                words = delta_decode_batch(words, out=words)
         return words
 
     def _plane_scratch(self, words: np.ndarray) -> np.ndarray:

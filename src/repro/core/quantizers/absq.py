@@ -38,6 +38,12 @@ _VERIFY_DTYPE = {
     np.dtype(np.float64): np.longdouble,
 }
 
+# Signed integer wide enough for every bin magnitude, per input dtype.
+_BIN_DTYPE = {
+    np.dtype(np.float32): np.int32,
+    np.dtype(np.float64): np.int64,
+}
+
 
 class AbsQuantizer(Quantizer):
     """ABS quantizer: ``|v - v'| <= eps`` for every value, guaranteed."""
@@ -145,12 +151,33 @@ class AbsQuantizer(Quantizer):
     # -- decode ------------------------------------------------------------
 
     def _decode_words(self, w: np.ndarray) -> np.ndarray:
+        out = np.empty(w.size, dtype=self.layout.float_dtype)
+        self._decode_words_into(w, out)
+        return out
+
+    def _decode_words_into(self, w: np.ndarray, out: np.ndarray) -> None:
         lay = self.layout
-        is_bin = lay.is_denormal_range(w)
-        b = lay.magsign_decode(w)
-        # lossless lanes carry arbitrary mantissa bits; their (ignored)
-        # products may overflow harmlessly
+        n = w.size
+        # Same discipline as the encoder: reused scratch and `out=`
+        # everywhere, no whole-block temporary.  Bins are at most
+        # `max_bin_magnitude` (23 bits for float32), so float32 data
+        # needs only int32 bins; the int -> float cast is exact either way.
+        mag = scratch("absq.dmag", n, lay.uint_dtype)
+        sel = scratch("absq.dsel", n, np.bool_)
+        bins = mag.view(_BIN_DTYPE[lay.float_dtype])
+
+        # Magnitude-sign bin code -> signed bin.  Integer negation keeps
+        # a signed zero bin (sign bit, magnitude 0) decoding to +0.0.
+        np.bitwise_and(w, lay.uint(lay.mantissa_mask), out=mag)
+        np.greater_equal(w, lay.uint(lay.sign_mask), out=sel)
+        np.negative(bins, out=bins, where=sel)
+        # bin * 2eps in the data precision.  Lossless lanes carry
+        # arbitrary mantissa bits; their (overwritten) products may
+        # overflow harmlessly, as may a huge bin under a huge bound.
         with np.errstate(over="ignore"):
-            recon = b.astype(lay.float_dtype) * self._two_eps
-        out_bits = np.where(is_bin, lay.to_bits(recon), w)
-        return lay.from_bits(out_bits.astype(lay.uint_dtype))
+            np.multiply(bins, self._two_eps, out=out, dtype=lay.float_dtype)
+        # Any word with a nonzero exponent field is a lossless value:
+        # its IEEE bits replace the reconstruction.
+        np.bitwise_and(w, lay.uint(lay.exponent_mask), out=mag)
+        np.not_equal(mag, lay.uint(0), out=sel)
+        np.copyto(out.view(lay.uint_dtype), w, where=sel)

@@ -153,7 +153,7 @@ class Quantizer(ABC):
             raise PFPLUsageError(
                 f"output slice holds {out.shape} values, expected ({w.size},)"
             )
-        out[...] = self._decode_words(w)
+        self._decode_flat(w, out)
         return out
 
     # -- chunk-major batch API (what ChunkKernel.encode_batch calls) --------
@@ -185,13 +185,17 @@ class Quantizer(ABC):
         return n_lossless
 
     def decode_batch_into(self, words: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Decode a ``(n_chunks, n)`` word block directly into ``out``."""
+        """Decode a ``(n_chunks, n)`` word block directly into ``out``.
+
+        Elementwise like the encoder, so one flat :meth:`_decode_flat`
+        over the block equals decoding it row by row.
+        """
         w = np.ascontiguousarray(words, dtype=self.layout.uint_dtype)
         if out.shape != w.shape:
             raise PFPLUsageError(
                 f"output block is {out.shape}, expected {w.shape}"
             )
-        out[...] = self._decode_words(w.reshape(-1)).reshape(out.shape)
+        self._decode_flat(w.reshape(-1), out)
         return out
 
     def _encode_words_into(self, v: np.ndarray, out: np.ndarray) -> int:
@@ -205,6 +209,29 @@ class Quantizer(ABC):
         words, n_lossless = self._encode_words(v)
         out[...] = words
         return n_lossless
+
+    def _decode_flat(self, w: np.ndarray, out: np.ndarray) -> None:
+        """Decode flat words ``w`` into ``out`` (any layout, same size).
+
+        A contiguous ``out`` of the data dtype that does not overlap the
+        words is written in place by :meth:`_decode_words_into`; any
+        other buffer (a strided view, a different dtype) receives a
+        copy of :meth:`_decode_words`.
+        """
+        if (out.flags.c_contiguous and out.dtype == self.layout.float_dtype
+                and not np.may_share_memory(w, out)):
+            self._decode_words_into(w, out.reshape(-1))
+        else:
+            out[...] = self._decode_words(w).reshape(out.shape)
+
+    def _decode_words_into(self, w: np.ndarray, out: np.ndarray) -> None:
+        """Decode flat words into the flat float buffer ``out``.
+
+        The mirror of :meth:`_encode_words_into`: the default wraps
+        :meth:`_decode_words`; ABS/NOA override it to build the floats
+        in the caller's buffer out of reused scratch.
+        """
+        out[...] = self._decode_words(w)
 
     # -- helpers -----------------------------------------------------------
 

@@ -104,12 +104,18 @@ class NoaQuantizer(Quantizer):
         return self._abs._encode_words(v)
 
     def _decode_words(self, words: np.ndarray) -> np.ndarray:
+        return self._bound_abs()._decode_words(words)
+
+    def _decode_words_into(self, words: np.ndarray, out: np.ndarray) -> None:
+        self._bound_abs()._decode_words_into(words, out)
+
+    def _bound_abs(self) -> AbsQuantizer:
         if self._abs is None:
             raise RuntimeError(
                 "NOA decoder needs the value range; construct with "
                 "value_range= from the compressed header"
             )
-        return self._abs._decode_words(words)
+        return self._abs
 
     def encode(self, values: np.ndarray) -> np.ndarray:
         self.prepare(values)

@@ -54,12 +54,22 @@ def _finite_pair(original: np.ndarray, recon: np.ndarray):
 
 
 def check_abs(original: np.ndarray, recon: np.ndarray, bound: float) -> BoundReport:
-    """Verify the point-wise absolute bound ``|v - v'| <= eps``."""
+    """Verify the point-wise absolute bound ``|v - v'| <= eps``.
+
+    A lane passes only if its error provably satisfies the bound, so a
+    NaN reconstruction of a finite value (whose error compares false
+    against everything) is a violation, reported as ``max_error=inf``.
+    """
     o, r = _finite_pair(original, recon)
     err = np.abs(o - r)
-    bad = err > np.longdouble(bound)
-    max_err = float(err.max()) if err.size else 0.0
-    return BoundReport("abs", float(bound), max_err, int(bad.sum(dtype=np.int64)), int(o.size))
+    violations = int(err.size - np.count_nonzero(err <= np.longdouble(bound)))
+    if not err.size:
+        max_err = 0.0
+    elif np.isnan(err).any():
+        max_err = float("inf")
+    else:
+        max_err = float(err.max())
+    return BoundReport("abs", float(bound), max_err, violations, int(o.size))
 
 
 def check_rel(original: np.ndarray, recon: np.ndarray, bound: float) -> BoundReport:

@@ -59,7 +59,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..core.chunking import plan_shards
-from ..core.kernel import ChunkKernel, ChunkStats
+from ..core.kernel import ChunkKernel, ChunkStats, row_run
 from ..core.lossless.pipeline import LosslessPipeline, PipelineConfig
 from ..core.quantizers import Quantizer
 from ..errors import PFPLIntegrityError, PFPLUsageError
@@ -202,8 +202,9 @@ def _decode_shard(task: tuple) -> tuple:
     """Decode one shard of non-raw full-size chunks into the shared output.
 
     ``rows`` are absolute chunk indices into the ``(n_full, wpc)`` output
-    matrix; each decoded row lands directly at its final position, so the
-    parent's only copy is the scatter into the caller's array.
+    matrix; each decoded row lands directly at its final position (a run
+    of consecutive rows is decoded in place), so the parent's only copy
+    is the scatter into the caller's array.
     """
     (quantizer, config, chunk_bytes, stream_name, stream_len, out_name,
      n_full, wpc, dtype_str, rows, starts, sizes, crcs, trace) = task
@@ -228,7 +229,7 @@ def _decode_shard(task: tuple) -> tuple:
             "batch_decode", cat="chunk", trace=ctx, chunks=len(rows),
             bytes_in=int(np.asarray(sizes, dtype=np.int64).sum()),
         ):
-            out_mat[rows] = kernel.decode_batch(payload, starts, sizes, wpc)
+            kernel.decode_rows(payload, starts, sizes, rows, wpc, out_mat)
     snap = tel.snapshot() if trace else None
     return snap, _worker_id
 
@@ -586,4 +587,8 @@ class ProcessPoolBackend(Backend):
             out_mat = np.ndarray(
                 out_block.shape, dtype=out_block.dtype, buffer=shm_out.buf
             )
-            out_block[rows] = out_mat[rows]
+            run = row_run(rows)
+            if run is not None:
+                out_block[run] = out_mat[run]
+            else:
+                out_block[rows] = out_mat[rows]

@@ -21,7 +21,6 @@ import pytest
 from repro.core.lossless.batch import (
     compress_bytes_batch,
     decompress_bytes_batch,
-    ragged_gather,
     repeat_eliminate_batch,
     repeat_restore_batch,
     row_offsets,
@@ -39,6 +38,7 @@ from repro.core.lossless.delta import (
 )
 from repro.core.lossless.zerobyte import (
     compress_bytes,
+    decompress_bytes,
     repeat_eliminate,
     zero_eliminate,
 )
@@ -188,10 +188,85 @@ class TestZeroElimBatch:
         with pytest.raises(PFPLIntegrityError):
             decompress_bytes_batch(stream, starts, sizes, 64)
 
-    def test_ragged_gather_rejects_overrun(self):
-        src = np.arange(10, dtype=np.uint8)
-        with pytest.raises(IndexError):
-            ragged_gather(src, np.array([8]), np.array([5]))
+    def test_decompress_bytes_batch_rejects_overrun(self):
+        # A blob whose size-table extent reaches past the payload.
+        blob = np.frombuffer(compress_bytes_batch(np.full((1, 64), 7, np.uint8))[0],
+                             dtype=np.uint8)
+        with pytest.raises(PFPLIntegrityError, match="outside"):
+            decompress_bytes_batch(blob, np.array([0]), np.array([blob.size + 5]), 64)
+
+
+def _blob_stream(rng, rows: int, n: int, zero_row: int | None = None):
+    """``rows`` random chunks (optionally one all-zero) as one stream."""
+    data = rng.integers(0, 3, (rows, n), dtype=np.uint8) * \
+        rng.integers(1, 255, (rows, n), dtype=np.uint8)
+    if zero_row is not None:
+        data[zero_row] = 0
+    blobs = compress_bytes_batch(data)
+    sizes = np.array([len(b) for b in blobs], dtype=np.int64)
+    # A trailing guard blob: reads past the last row's extent still hit
+    # stream bytes, so only the size-table check can stop them.
+    stream = np.frombuffer(b"".join(blobs) + blobs[0], dtype=np.uint8).copy()
+    return data, stream, row_offsets(sizes), sizes
+
+
+@pytest.mark.parametrize("rows", [1, 64])
+class TestZeroRestoreBoundaries:
+    """The batch decoder at the ends of its geometry: 1 row and 64 rows."""
+
+    N = 4096  # level sizes 512/64/8/1/1: a 1-bit level under a 1-byte top
+
+    def test_roundtrip_matches_per_chunk(self, rng, rows):
+        zero = rows - 1 if rows > 1 else None
+        data, stream, starts, sizes = _blob_stream(rng, rows, self.N, zero)
+        out = decompress_bytes_batch(stream, starts, sizes, self.N)
+        assert np.array_equal(out, data)
+        for i in range(rows):
+            blob = stream[starts[i]:starts[i] + sizes[i]]
+            assert np.array_equal(out[i], decompress_bytes(blob, self.N))
+
+    @pytest.mark.parametrize("at_end", [False, True])
+    def test_level_count_past_extent_rejected(self, rng, rows, at_end):
+        zero = rows - 1 if at_end else rows // 2
+        _, stream, starts, sizes = _blob_stream(rng, rows, self.N, zero)
+        assert sizes[zero] == 1  # an all-zero chunk is its top bitmap
+        if at_end:
+            stream = stream[: int(starts[-1] + sizes[-1])]
+        # The top bitmap now claims one level-3 byte: it lies in the next
+        # chunk's blob (or past the end of the stream), outside this
+        # chunk's size-table extent.
+        stream[starts[zero]] = 0x80
+        with pytest.raises(PFPLIntegrityError, match=f"batched chunk {zero}"):
+            decompress_bytes_batch(stream, starts, sizes, self.N)
+
+    def test_padding_bits_ignored_like_per_chunk(self, rng, rows):
+        zero = rows // 2
+        _, stream, starts, sizes = _blob_stream(rng, rows, self.N, zero)
+        # Only the top byte's 7 padding bits: the 1-bit level reads none.
+        stream[starts[zero]] = 0x7F
+        out = decompress_bytes_batch(stream, starts, sizes, self.N)
+        blob = stream[starts[zero]:starts[zero] + 1]
+        assert not out[zero].any()
+        assert np.array_equal(out[zero], decompress_bytes(blob, self.N))
+
+    def test_stream_cut_mid_blob_rejected(self, rng, rows):
+        _, stream, starts, sizes = _blob_stream(rng, rows, self.N)
+        last = rows - 1
+        assert sizes[last] > 100
+        cut = stream[: int(starts[last] + sizes[last] // 2)]
+        with pytest.raises(PFPLIntegrityError, match=f"batched chunk {last}"):
+            decompress_bytes_batch(cut, starts, sizes, self.N)
+
+    def test_planes_never_alias_the_stream(self, rng, rows):
+        data, stream, starts, sizes = _blob_stream(rng, rows, self.N)
+        stream.flags.writeable = False
+        out = decompress_bytes_batch(stream, starts, sizes, self.N)
+        assert not np.shares_memory(out, stream)
+        assert out.flags.writeable and out.flags.c_contiguous
+        out[:] = 0xEE  # the caller owns the planes
+        assert np.array_equal(
+            decompress_bytes_batch(stream, starts, sizes, self.N), data
+        )
 
 
 class TestQuantizerBatch:

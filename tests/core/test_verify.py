@@ -29,6 +29,23 @@ class TestAbs:
         r = np.array([0.0, 0.0, 1.0])
         assert check_abs(v, r, 1e-3).ok
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_nonfinite_reconstruction_is_a_violation(self, bad):
+        # NaN compares false against the bound: a lane passes only when
+        # its error provably satisfies it.
+        rep = check_abs(np.array([1.0, 2.0]), np.array([bad, 2.0]), 1e-3)
+        assert not rep.ok
+        assert rep.violations == 1
+        assert rep.max_error == float("inf")
+        assert rep.severity == "major"
+
+    def test_nan_reconstruction_fails_noa_and_dispatch(self):
+        v, r = np.array([0.0, 10.0]), np.array([0.0, np.nan])
+        assert not check_noa(v, r, 1e-2).ok
+        assert check_noa(v, r, 1e-2).max_error == float("inf")
+        for mode in ("abs", "noa"):
+            assert check_bound(mode, v, r, 1e-2).violations == 1
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             check_abs(np.zeros(3), np.zeros(4), 1e-3)
