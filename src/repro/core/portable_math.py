@@ -16,13 +16,22 @@ error pushes a value out of bounds (Section III-B).
 All computations run in float64 regardless of the data precision; the
 results are deterministic because every operation is an IEEE-754 basic
 operation with a defined rounding.
+
+Both functions work tile by tile (:data:`TILE` values) in per-thread
+scratch arenas, every step an ``out=`` ufunc: a Horner step therefore
+re-reads a cache-resident tile instead of allocating and streaming a
+whole-array temporary.  Tiling cannot change a bit -- every operation
+is elementwise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["log2_portable", "exp2_portable", "LN2", "SQRT2"]
+from ..errors import PFPLUsageError
+from .scratch import scratch
+
+__all__ = ["log2_portable", "exp2_portable", "LN2", "SQRT2", "TILE"]
 
 # ln(2) and sqrt(2) to float64 precision; written as literals so no libm
 # call is involved in producing them.
@@ -30,9 +39,22 @@ LN2 = 0.6931471805599453
 _INV_LN2 = 1.4426950408889634  # 1/ln(2)
 SQRT2 = 1.4142135623730951
 
-_EXP_MASK64 = np.uint64(0x7FF0000000000000)
+#: Values per tile, here and in the REL quantizer built on these
+#: functions.  One REL encode tile's float64 and long-double scratch is
+#: about 1.3 MB, so it stays inside a 2 MiB per-core L2 cache.
+TILE = 8192
+
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+_TWO64 = 18446744073709551616.0
+_ABS_MASK64 = np.uint64(0x7FFFFFFFFFFFFFFF)
 _MANT_MASK64 = np.uint64(0x000FFFFFFFFFFFFF)
-_ONE_BITS64 = np.uint64(0x3FF0000000000000)  # bits of 1.0
+_SQRT2_MANT = int(np.float64(SQRT2).view(np.uint64)) & 0x000FFFFFFFFFFFFF
+# Adding _HIGH_CARRY to |bits| carries into the exponent field exactly
+# when the mantissa is >= sqrt(2)'s; _M_BIAS turns the carried sum's
+# mantissa field back into the reduced m (exponent 1023, or 1022 after
+# a carry -- the exact m*0.5).
+_HIGH_CARRY = np.uint64((1 << 52) - _SQRT2_MANT)
+_M_BIAS = np.uint64((1022 << 52) + _SQRT2_MANT)
 
 # atanh-series coefficients for ln(m), m in [sqrt(1/2), sqrt(2)):
 #   s = (m-1)/(m+1);  ln(m) = 2s * (1 + s^2/3 + s^4/5 + ... )
@@ -51,7 +73,7 @@ for _k in range(14):
 _EXP_COEFFS = tuple(_EXP_COEFFS)
 
 
-def log2_portable(x: np.ndarray) -> np.ndarray:
+def log2_portable(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Base-2 logarithm of positive finite values, IEEE-basic-ops only.
 
     Parameters
@@ -59,46 +81,21 @@ def log2_portable(x: np.ndarray) -> np.ndarray:
     x:
         Array of positive float64 values (callers pass ``|v|`` of nonzero
         finite data).  Denormal inputs are handled by pre-scaling.
+    out:
+        Optional C-contiguous float64 array of ``x``'s shape to write
+        into; it may be ``x`` itself.
 
     Returns
     -------
     float64 array of ``log2(x)`` accurate to ~1 ulp over the normal range.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-
-    # Normalize denormals: multiply by 2^64 and subtract 64 from the result.
-    tiny = x < 2.2250738585072014e-308  # smallest positive normal
-    with np.errstate(over="ignore"):
-        # the scaled value is only used on the tiny lanes; huge lanes may
-        # overflow in the discarded branch
-        x_work = np.where(tiny, x * 18446744073709551616.0, x)
-    e_adjust = np.where(tiny, -64.0, 0.0)
-
-    bits = x_work.view(np.uint64)
-    exp_field = ((bits & _EXP_MASK64) >> np.uint64(52)).astype(np.int64)
-    e = (exp_field - 1023).astype(np.float64)
-    m = ((bits & _MANT_MASK64) | _ONE_BITS64).view(np.float64)
-
-    # Reduce the mantissa from [1, 2) to [sqrt(1/2), sqrt(2)) so the
-    # series argument stays small; fold the halving into the exponent.
-    high = m >= SQRT2
-    m = np.where(high, m * 0.5, m)
-    e = np.where(high, e + 1.0, e)
-
-    s = (m - 1.0) / (m + 1.0)
-    s2 = s * s
-    poly = np.full_like(s, _LOG_COEFFS[-1])
-    for c in _LOG_COEFFS[-2::-1]:
-        poly = poly * s2 + c
-    ln_m = s * poly
-    np.multiply(ln_m, _INV_LN2, out=out)
-    out += e
-    out += e_adjust
+    out = _output_for(x, out)
+    _tiled(_log2_tile, x, out)
     return out
 
 
-def exp2_portable(y: np.ndarray) -> np.ndarray:
+def exp2_portable(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Base-2 exponential, IEEE-basic-ops only.
 
     Splits ``y = n + f`` with ``n = rint(y)`` and ``|f| <= 0.5``, evaluates
@@ -106,50 +103,146 @@ def exp2_portable(y: np.ndarray) -> np.ndarray:
     ``2^n`` through exponent-field bit manipulation (two factors when the
     result lands in the denormal range).  Overflow produces ``inf`` and
     deep underflow produces ``0.0``; the REL quantizer treats both as
-    unquantizable and stores the affected values losslessly.
+    unquantizable and stores the affected values losslessly.  ``out``
+    works as in :func:`log2_portable` and may be ``y`` itself.
     """
     y = np.ascontiguousarray(y, dtype=np.float64)
-    n = np.rint(y)
-    f = y - n
-    t = f * LN2
+    out = _output_for(y, out)
+    _tiled(_exp2_tile, y, out)
+    return out
 
-    poly = np.full_like(t, _EXP_COEFFS[-1])
-    for c in _EXP_COEFFS[-2::-1]:
-        poly = poly * t + c
+
+def _output_for(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    if out is None:
+        return np.empty_like(x)
+    if (out.dtype != np.float64 or out.shape != x.shape
+            or not out.flags.c_contiguous):
+        raise PFPLUsageError(
+            f"out must be a C-contiguous float64 array of shape {x.shape}, "
+            f"got {out.dtype} {out.shape}"
+        )
+    # Tiles are written in order, so only an exact alias is safe.
+    if (np.may_share_memory(x, out)
+            and out.__array_interface__["data"][0]
+            != x.__array_interface__["data"][0]):
+        raise PFPLUsageError("out may alias the input only exactly")
+    return out
+
+
+def _tiled(tile_fn, x: np.ndarray, out: np.ndarray) -> None:
+    xf, of = x.reshape(-1), out.reshape(-1)
+    for start in range(0, xf.size, TILE):
+        tile_fn(xf[start:start + TILE], of[start:start + TILE])
+
+
+def _log2_tile(x: np.ndarray, out: np.ndarray) -> None:
+    n = x.size
+    tiny = None
+    if not x.min() >= _SMALLEST_NORMAL:  # a NaN lane also lands here
+        # Denormals (and anything else below the smallest normal) are
+        # normalized by 2^64, and 64 comes off the result.
+        tiny = scratch("pmath.log.tiny", n, np.bool_)
+        xw = scratch("pmath.log.xw", n, np.float64)
+        np.less(x, _SMALLEST_NORMAL, out=tiny)
+        np.copyto(xw, x)
+        with np.errstate(over="ignore"):
+            # negative inputs count as tiny too; a huge one overflows
+            np.multiply(x, _TWO64, out=xw, where=tiny)
+        x = xw
+
+    # Split |bits| into the exponent e and a mantissa m reduced from
+    # [1, 2) to [sqrt(1/2), sqrt(2)): a carry out of the mantissa field
+    # both adds 1 to e and halves m, exactly (integer ops only).
+    z = scratch("pmath.log.z", n, np.uint64)
+    e = scratch("pmath.log.e", n, np.int64)
+    s = scratch("pmath.log.s", n, np.float64)
+    np.bitwise_and(x.view(np.uint64), _ABS_MASK64, out=z)
+    np.add(z, _HIGH_CARRY, out=z)
+    np.right_shift(z, np.uint64(52), out=e.view(np.uint64))
+    np.subtract(e, 1023, out=e)
+    np.bitwise_and(z, _MANT_MASK64, out=z)
+    np.add(z, _M_BIAS, out=z)
+    m = z.view(np.float64)
+
+    # x is dead from here on, so out may alias it.
+    np.subtract(m, 1.0, out=s)
+    np.add(m, 1.0, out=m)
+    np.divide(s, m, out=s)
+    s2 = m
+    np.multiply(s, s, out=s2)
+    np.multiply(s2, _LOG_COEFFS[-1], out=out)
+    np.add(out, _LOG_COEFFS[-2], out=out)
+    for c in _LOG_COEFFS[-3::-1]:
+        np.multiply(out, s2, out=out)
+        np.add(out, c, out=out)
+    np.multiply(s, out, out=out)  # ln(m)
+    np.multiply(out, _INV_LN2, out=out)
+    np.add(out, e, out=out)
+    if tiny is not None:
+        np.add(out, -64.0, out=out, where=tiny)
+
+
+def _exp2_tile(y: np.ndarray, out: np.ndarray) -> None:
+    n = y.size
+    nf = scratch("pmath.exp.n", n, np.float64)
+    t = scratch("pmath.exp.t", n, np.float64)
+    n_lo = scratch("pmath.exp.lo", n, np.int64)
+    n_hi = scratch("pmath.exp.hi", n, np.int64)
+    np.rint(y, out=nf)
+    np.subtract(y, nf, out=t)
+    np.multiply(t, LN2, out=t)
+
+    # y is dead from here on, so out may alias it.
+    np.multiply(t, _EXP_COEFFS[-1], out=out)
+    np.add(out, _EXP_COEFFS[-2], out=out)
+    for c in _EXP_COEFFS[-3::-1]:
+        np.multiply(out, t, out=out)
+        np.add(out, c, out=out)
 
     # Clamp n so that intermediate scale factors are constructible; values
     # beyond the clamp saturate to inf/0 through the final multiplies.
-    n_int = n.astype(np.int64)
-    n_int = np.clip(n_int, -2098, 2098)
+    # The cast is astype(int64)'s: NaN, inf and |n| >= 2^63 become
+    # int64's minimum on x86, which the clamp then catches.
+    with np.errstate(invalid="ignore"):
+        np.copyto(n_lo, nf, casting="unsafe")
+    np.maximum(n_lo, -2098, out=n_lo)
+    np.minimum(n_lo, 2098, out=n_lo)
 
     # Split n into two halves so each factor's exponent stays in the
     # normal range even when the final result is denormal or huge.
-    n_hi = n_int >> 1
-    n_lo = n_int - n_hi
-    scale_hi = _pow2_int(n_hi)
-    scale_lo = _pow2_int(n_lo)
+    np.right_shift(n_lo, 1, out=n_hi)
+    np.subtract(n_lo, n_hi, out=n_lo)
+    scale = nf
     with np.errstate(over="ignore"):
         # overflow to inf is the defined saturation for huge exponents
-        return poly * scale_hi * scale_lo
+        np.multiply(out, _pow2_int(n_hi, scale), out=out)
+        np.multiply(out, _pow2_int(n_lo, scale), out=out)
 
 
-def _pow2_int(n: np.ndarray) -> np.ndarray:
-    """Exact powers of two for integer exponents in [-1074, 1024)."""
+def _pow2_int(n: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Exact powers of two for integer exponents in [-1074, 1024).
+
+    Below that range the result is 0.0, above it ``inf``.  Written into
+    ``out`` (float64, ``n``'s shape, not overlapping ``n``) when given.
+    """
     n = np.asarray(n, dtype=np.int64)
-    result = np.empty(n.shape, dtype=np.float64)
-
-    normal = (n >= -1022) & (n <= 1023)
-    bits = ((n + 1023).astype(np.uint64) << np.uint64(52))
-    result[...] = np.where(normal, bits.view(np.float64), 0.0)
-
-    # Denormal powers: 2^n = 2^-1022 * 2^(n+1022) via mantissa shift.
-    deno = (n < -1022) & (n >= -1074)
-    if np.any(deno):
-        shift = (np.where(deno, n, -1074) + 1074).astype(np.uint64)
-        dbits = np.uint64(1) << shift
-        result = np.where(deno, dbits.view(np.float64), result)
-
-    huge = n > 1023
-    if np.any(huge):
-        result = np.where(huge, np.float64(np.inf), result)
-    return result
+    if out is None:
+        out = np.empty(n.shape, dtype=np.float64)
+    bits = out.view(np.int64)
+    np.add(n, 1023, out=bits)
+    np.left_shift(bits, 52, out=bits)
+    # Out-of-range lanes hold garbage so far; patch them only when the
+    # array has any.
+    if n.size and n.min() < -1022:
+        # Denormal powers: 2^n = 2^-1022 * 2^(n+1022) via mantissa
+        # shift; a shift past the word (n < -1074) yields 0.0.
+        mask = scratch("pmath.pow2.mask", n.shape, np.bool_)
+        np.less(n, -1022, out=mask)
+        np.add(n, 1074, out=bits, where=mask)
+        np.left_shift(np.uint64(1), bits.view(np.uint64),
+                      out=bits.view(np.uint64), where=mask)
+    if n.size and n.max() > 1023:
+        mask = scratch("pmath.pow2.mask", n.shape, np.bool_)
+        np.greater(n, 1023, out=mask)
+        np.copyto(out, np.inf, where=mask)
+    return out

@@ -80,11 +80,6 @@ class AbsQuantizer(Quantizer):
 
     # -- encode ------------------------------------------------------------
 
-    def _encode_words(self, v: np.ndarray) -> tuple[np.ndarray, int]:
-        out = np.empty(v.size, dtype=self.layout.uint_dtype)
-        n_lossless = self._encode_words_into(v, out)
-        return out, n_lossless
-
     def _encode_words_into(self, v: np.ndarray, out: np.ndarray) -> int:
         lay = self.layout
         fdt = lay.float_dtype.type
@@ -149,11 +144,6 @@ class AbsQuantizer(Quantizer):
         return int(n - np.count_nonzero(fits))
 
     # -- decode ------------------------------------------------------------
-
-    def _decode_words(self, w: np.ndarray) -> np.ndarray:
-        out = np.empty(w.size, dtype=self.layout.float_dtype)
-        self._decode_words_into(w, out)
-        return out
 
     def _decode_words_into(self, w: np.ndarray, out: np.ndarray) -> None:
         lay = self.layout

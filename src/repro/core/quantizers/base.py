@@ -71,9 +71,12 @@ class Quantizer(ABC):
     error_bound:
         The user-supplied point-wise error bound ``eps`` (> 0).
     dtype:
-        ``np.float32`` or ``np.float64`` -- the data precision; all
-        quantizer arithmetic runs in this precision so that the encoder
-        mirrors what a fixed-precision device implementation computes.
+        ``np.float32`` or ``np.float64`` -- the data precision.  ABS and
+        NOA quantize in this precision (their bound check runs wider),
+        so the encoder mirrors what a fixed-precision device
+        implementation computes.  REL evaluates its log/exp in float64
+        and its bound check in long double for both dtypes; the stored
+        bins depend on that arithmetic, so the format pins it.
     """
 
     #: short identifier stored in the file header ("abs", "rel", "noa")
@@ -89,15 +92,17 @@ class Quantizer(ABC):
     # -- interface ---------------------------------------------------------
 
     @abstractmethod
-    def _encode_words(self, values: np.ndarray) -> tuple[np.ndarray, int]:
-        """Pure quantization: (words, n_lossless) for already-validated
-        contiguous values of the layout's float dtype.  Must not mutate
-        any shared state -- this is what backend workers run in parallel.
+    def _encode_words_into(self, v: np.ndarray, out: np.ndarray) -> int:
+        """Pure quantization of already-validated contiguous values of the
+        layout's float dtype into the flat word buffer ``out``; returns
+        the lossless count.  Must not mutate any shared state -- this is
+        what backend workers run in parallel.
         """
 
     @abstractmethod
-    def _decode_words(self, words: np.ndarray) -> np.ndarray:
-        """Pure inverse of :meth:`_encode_words` (no shared state)."""
+    def _decode_words_into(self, w: np.ndarray, out: np.ndarray) -> None:
+        """Pure inverse of :meth:`_encode_words_into`: flat words into the
+        flat float buffer ``out`` (no shared state)."""
 
     def prepare(self, values: np.ndarray) -> dict:
         """Global pre-pass run once before any chunk is quantized.
@@ -162,8 +167,8 @@ class Quantizer(ABC):
         """Quantize a ``(n_chunks, n)`` chunk-major block into ``out``.
 
         Quantizers are elementwise (any global state is pre-resolved by
-        :meth:`prepare`), so one flattened :meth:`_encode_words` call
-        over the whole block produces exactly the words the per-chunk
+        :meth:`prepare`), so one flattened :meth:`_encode_words_into`
+        call over the whole block produces exactly the words the per-chunk
         :meth:`encode_into` would, row by row.  Returns the total
         lossless count; :attr:`stats` is untouched, as in the chunk-local
         API.
@@ -198,17 +203,16 @@ class Quantizer(ABC):
         self._decode_flat(w.reshape(-1), out)
         return out
 
-    def _encode_words_into(self, v: np.ndarray, out: np.ndarray) -> int:
-        """Encode flat values, writing the words into ``out``.
+    def _encode_words(self, v: np.ndarray) -> tuple[np.ndarray, int]:
+        """:meth:`_encode_words_into` a fresh array: (words, n_lossless)."""
+        out = np.empty(v.size, dtype=self.layout.uint_dtype)
+        return out, self._encode_words_into(v, out)
 
-        Returns the lossless count.  The default wraps
-        :meth:`_encode_words`; the hot quantizers override it to write
-        their final word selection straight into the caller's buffer
-        (one less whole-block temporary on the batch path).
-        """
-        words, n_lossless = self._encode_words(v)
-        out[...] = words
-        return n_lossless
+    def _decode_words(self, w: np.ndarray) -> np.ndarray:
+        """:meth:`_decode_words_into` a fresh array."""
+        out = np.empty(w.size, dtype=self.layout.float_dtype)
+        self._decode_words_into(w, out)
+        return out
 
     def _decode_flat(self, w: np.ndarray, out: np.ndarray) -> None:
         """Decode flat words ``w`` into ``out`` (any layout, same size).
@@ -223,15 +227,6 @@ class Quantizer(ABC):
             self._decode_words_into(w, out.reshape(-1))
         else:
             out[...] = self._decode_words(w).reshape(out.shape)
-
-    def _decode_words_into(self, w: np.ndarray, out: np.ndarray) -> None:
-        """Decode flat words into the flat float buffer ``out``.
-
-        The mirror of :meth:`_encode_words_into`: the default wraps
-        :meth:`_decode_words`; ABS/NOA override it to build the floats
-        in the caller's buffer out of reused scratch.
-        """
-        out[...] = self._decode_words(w)
 
     # -- helpers -----------------------------------------------------------
 

@@ -95,16 +95,13 @@ class NoaQuantizer(Quantizer):
             self._bind_range(rng)
         return {"value_range": self._range}
 
-    def _encode_words(self, v: np.ndarray) -> tuple[np.ndarray, int]:
+    def _encode_words_into(self, v: np.ndarray, out: np.ndarray) -> int:
         if self._abs is None:
             raise RuntimeError(
                 "NOA range unknown: call prepare() (or pass value_range=) "
                 "before chunk-local encoding"
             )
-        return self._abs._encode_words(v)
-
-    def _decode_words(self, words: np.ndarray) -> np.ndarray:
-        return self._bound_abs()._decode_words(words)
+        return self._abs._encode_words_into(v, out)
 
     def _decode_words_into(self, words: np.ndarray, out: np.ndarray) -> None:
         self._bound_abs()._decode_words_into(words, out)

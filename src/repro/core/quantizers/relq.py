@@ -24,6 +24,11 @@ less), so bins are stored in the **negative NaN** region instead:
 * finally the sign+exponent bits of *all* emitted words are inverted so
   the frequent bin words carry leading '0' instead of leading '1' bits,
   which the downstream lossless stages exploit.
+
+Encode and decode run tile by tile (:data:`~repro.core.portable_math.TILE`
+values) through per-thread scratch, every step an ``out=`` ufunc: no
+whole-block temporary is allocated, and one tile's working set stays in
+a per-core L2 cache.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import PFPLUsageError
-from ..portable_math import exp2_portable, log2_portable
+from ..portable_math import TILE as _TILE, exp2_portable, log2_portable
+from ..scratch import scratch
 from .base import Quantizer
 
 __all__ = ["RelQuantizer"]
@@ -76,114 +82,197 @@ class RelQuantizer(Quantizer):
         # Mantissa payload: ((zigzag(bin)+1) << 1) | sign  must be a valid
         # nonzero NaN mantissa, so zigzag(bin)+1 <= mantissa_mask >> 1.
         self._max_zigzag = (self.layout.mantissa_mask >> 1) - 1
+        # Bits of 1.0: where the encoder parks non-quantizable lanes.
+        self._one_bits = self.layout.uint(
+            self.layout.exponent_bias << self.layout.mantissa_bits
+        )
 
     def header_params(self) -> dict:
         return {"log_step": self._log_step}
 
     # -- encode ------------------------------------------------------------
 
-    def _encode_words(self, v: np.ndarray) -> tuple[np.ndarray, int]:
+    def _encode_words_into(self, v: np.ndarray, out: np.ndarray) -> int:
+        n_bins = 0
+        for start in range(0, v.size, _TILE):
+            stop = start + _TILE
+            n_bins += self._encode_tile(v[start:stop], out[start:stop])
+        return v.size - n_bins
+
+    def _encode_tile(self, v: np.ndarray, out: np.ndarray) -> int:
+        """Encode one tile of values into ``out``; returns the bin count.
+
+        Each float operation is the whole-array formula's, in the same
+        order, so tiling changes no bit; it only keeps one tile's
+        scratch (float64 and long double included) cache-resident.
+        """
         lay = self.layout
-        bits = lay.to_bits(v)
+        n = v.size
+        udt = lay.uint_dtype
+        exp_mask = lay.uint(lay.exponent_mask)
+        invert = lay.uint(lay.invert_mask)
+        bits = v.view(udt)
+        mag = scratch("relq.mag", n, udt)
+        tmp = scratch("relq.tmp", n, udt)
+        quant = scratch("relq.quant", n, np.bool_)
+        ok = scratch("relq.ok", n, np.bool_)
 
-        sign = ((bits & lay.uint(lay.sign_mask)) != lay.uint(0))
-        is_nan = lay.is_nan_bits(bits)
-        is_inf = lay.is_inf_bits(bits)
-        is_zero = lay.is_zero_bits(bits)
+        # Lossless words: the raw bits with sign+exponent inverted.  A
+        # negative NaN is made positive first to free the bin region; it
+        # is the only input PFPL does not reproduce bit-exactly
+        # (documented behaviour -- the *value* is still NaN).
+        np.bitwise_and(bits, lay.uint(lay.abs_mask), out=mag)
+        np.bitwise_xor(bits, invert, out=out)
+        if mag.max() > exp_mask:
+            np.greater(mag, exp_mask, out=ok)
+            np.bitwise_xor(mag, invert, out=out, where=ok)
 
-        # Negative NaNs are made positive to free the bin region; they are
-        # the only inputs PFPL does not reproduce bit-exactly (documented
-        # behaviour -- the *value* is still NaN).
-        lossless_bits = np.where(
-            is_nan, bits & lay.uint(lay.abs_mask), bits
-        ).astype(lay.uint_dtype)
+        # Quantizable = finite and nonzero = 0 < |bits| < exponent mask.
+        # The other lanes are parked at 1.0 so log2 stays benign, and so
+        # no NaN is ever widened (a float32 signalling NaN would warn).
+        np.subtract(mag, lay.uint(1), out=tmp)
+        np.less(tmp, exp_mask - lay.uint(1), out=quant)
+        if not quant.all():
+            np.logical_not(quant, out=ok)
+            np.copyto(mag, self._one_bits, where=ok)
+        if lay.float_dtype == np.float64:
+            absv = mag.view(np.float64)
+        else:
+            absv = scratch("relq.absv", n, np.float64)
+            np.copyto(absv, mag.view(lay.float_dtype))
 
-        quantizable = ~(is_nan | is_inf | is_zero)
-
-        absv = np.abs(v).astype(np.float64)
-        # log2 needs strictly positive input; park excluded lanes at 1.0.
-        absv_safe = np.where(quantizable, absv, 1.0)
-        bin_f = np.rint(self._log2(absv_safe) / self._log_step)
-
+        bin_f = scratch("relq.bin", n, np.float64)
+        recon64 = scratch("relq.recon64", n, np.float64)
+        self._log2(absv, out=bin_f)
+        np.divide(bin_f, self._log_step, out=bin_f)
+        np.rint(bin_f, out=bin_f)
+        np.multiply(bin_f, self._log_step, out=recon64)
         with np.errstate(invalid="ignore", over="ignore"):
-            recon_mag = self._exp2(bin_f * self._log_step)
+            self._exp2(recon64, out=recon64)
             # the cast may overflow to inf for out-of-range bins; those
             # lanes fail the finiteness check and go lossless
-            recon = recon_mag.astype(lay.float_dtype)
+            if lay.float_dtype == np.float64:
+                recon = recon64
+            else:
+                recon = scratch("relq.recon", n, lay.float_dtype)
+                np.copyto(recon, recon64, casting="same_kind")
 
-        bin_i = bin_f.astype(np.int64)
-        zz = _zigzag(bin_i)
-        fits = zz <= np.uint64(self._max_zigzag)
+        # Zig-zag the bin: 0,-1,1,-2,2... -> 0,1,2,3,4...
+        zz = scratch("relq.zz", n, np.int64)
+        zs = scratch("relq.zs", n, np.int64)
+        np.copyto(zz, bin_f, casting="unsafe")
+        np.right_shift(zz, 63, out=zs)
+        np.left_shift(zz, 1, out=zz)
+        np.bitwise_xor(zz, zs, out=zz)
+        zzu = zz.view(np.uint64)
 
         # Verify against the value the decoder will produce (recon, i.e.
         # the float32/float64-rounded magnitude) in 80-bit precision.
-        ok = quantizable & fits & _within_rel_bound(
-            absv, recon, self.error_bound
-        )
+        _within_rel_bound(absv, recon, self.error_bound, ok)
+        fits = scratch("relq.fits", n, np.bool_)
+        np.less_equal(zzu, np.uint64(self._max_zigzag), out=fits)
+        np.logical_and(ok, fits, out=ok)
+        np.logical_and(ok, quant, out=ok)
 
-        payload = (((zz + np.uint64(1)) << np.uint64(1))
-                   | sign.astype(np.uint64)).astype(lay.uint_dtype)
-        bin_words = (
-            lay.uint(lay.sign_mask) | lay.uint(lay.exponent_mask) | payload
-        )
-
-        words = np.where(ok, bin_words, lossless_bits).astype(lay.uint_dtype)
-        # Invert sign+exponent bits of everything emitted.
-        return words ^ lay.uint(lay.invert_mask), int(v.size - np.count_nonzero(ok))
+        # An accepted bin's word is the negative NaN SIGN|EXP|payload,
+        # payload = ((zz+1) << 1) | sign; with sign+exponent inverted
+        # that is the payload alone.
+        np.add(zzu, np.uint64(1), out=zzu)
+        np.left_shift(zzu, np.uint64(1), out=zzu)
+        if lay.float_dtype == np.float64:
+            payload = zzu
+        else:
+            # truncation only touches bins that do not fit (never selected)
+            payload = tmp
+            np.copyto(payload, zzu, casting="unsafe")
+        np.right_shift(bits, lay.uint(lay.bits - 1), out=mag)
+        np.bitwise_or(payload, mag, out=payload)
+        np.copyto(out, payload, where=ok)
+        return int(np.count_nonzero(ok))
 
     # -- decode ------------------------------------------------------------
 
-    def _decode_words(self, w: np.ndarray) -> np.ndarray:
+    def _decode_words_into(self, w: np.ndarray, out: np.ndarray) -> None:
+        for start in range(0, w.size, _TILE):
+            stop = start + _TILE
+            self._decode_tile(w[start:stop], out[start:stop])
+
+    def _decode_tile(self, w: np.ndarray, out: np.ndarray) -> None:
         lay = self.layout
-        w = w ^ lay.uint(lay.invert_mask)
+        n = w.size
+        udt = lay.uint_dtype
+        tmp = scratch("relq.dtmp", n, udt)
+        lossless = scratch("relq.dlossless", n, np.bool_)
+        zz = scratch("relq.dzz", n, np.uint64)
+        zs = scratch("relq.dzs", n, np.int64)
 
-        is_bin = lay.is_negative_nan(w)
-        payload = w & lay.uint(lay.mantissa_mask)
-        sign = (payload & lay.uint(1)) != lay.uint(0)
-        zz = (payload.astype(np.uint64) >> np.uint64(1)) - np.uint64(1)
-        # Park non-bin lanes at zigzag 0 to keep the math benign.
-        zz = np.where(is_bin, zz, np.uint64(0))
-        bin_i = _unzigzag(zz)
+        # With sign+exponent re-inverted a bin word is a negative NaN,
+        # i.e. 1 <= w <= mantissa mask as stored; any other word is a
+        # lossless value.
+        np.subtract(w, lay.uint(1), out=tmp)
+        np.greater_equal(tmp, lay.uint(lay.mantissa_mask), out=lossless)
+        has_lossless = lossless.any()
 
+        # zz = (payload >> 1) - 1 in uint64: payload 1 wraps to the
+        # largest zig-zag code (bin -2^63).
+        np.right_shift(w, lay.uint(1), out=zz)
+        np.subtract(zz, np.uint64(1), out=zz)
+        if has_lossless:
+            # Park non-bin lanes at zigzag 0 to keep the math benign.
+            np.copyto(zz, np.uint64(0), where=lossless)
+        # Un-zig-zag: bin = (zz >> 1) ^ -(zz & 1).
+        np.bitwise_and(zz, np.uint64(1), out=zs.view(np.uint64))
+        np.negative(zs, out=zs)
+        np.right_shift(zz, np.uint64(1), out=zz)
+        bins = zz.view(np.int64)
+        np.bitwise_xor(bins, zs, out=bins)
+
+        if lay.float_dtype == np.float64:
+            y = out
+        else:
+            y = scratch("relq.dy", n, np.float64)
+        np.multiply(bins, self._log_step, out=y)
         with np.errstate(invalid="ignore", over="ignore"):
-            recon_mag = self._exp2(
-                bin_i.astype(np.float64) * self._log_step
-            ).astype(lay.float_dtype)
-        recon_bits = lay.to_bits(recon_mag) | np.where(
-            sign, lay.uint(lay.sign_mask), lay.uint(0)
-        ).astype(lay.uint_dtype)
-
-        out_bits = np.where(is_bin, recon_bits, w).astype(lay.uint_dtype)
-        return lay.from_bits(out_bits)
-
-
-def _zigzag(x: np.ndarray) -> np.ndarray:
-    """Map signed int64 to unsigned: 0,-1,1,-2,2... -> 0,1,2,3,4..."""
-    return ((x << 1) ^ (x >> 63)).astype(np.uint64)
-
-
-def _unzigzag(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64)
-    return ((z >> np.uint64(1)).astype(np.int64)
-            ^ -(z & np.uint64(1)).astype(np.int64))
+            self._exp2(y, out=y)
+            if y is not out:
+                np.copyto(out, y, casting="same_kind")
+        # The payload's low bit is the value's sign.
+        out_bits = out.view(udt)
+        np.left_shift(w, lay.uint(lay.bits - 1), out=tmp)
+        np.bitwise_or(out_bits, tmp, out=out_bits)
+        if has_lossless:
+            np.bitwise_xor(w, lay.uint(lay.invert_mask), out=tmp)
+            np.copyto(out_bits, tmp, where=lossless)
 
 
 def _within_rel_bound(
-    abs_original: np.ndarray, recon: np.ndarray, eps: float
-) -> np.ndarray:
+    abs_original: np.ndarray, recon: np.ndarray, eps: float, out: np.ndarray
+) -> None:
     """Check ``|v|/(1+eps) <= |v'| <= |v|*(1+eps)`` in extended precision.
 
     ``recon`` carries the decoder-side magnitude already rounded to the
     data dtype; the comparison itself runs in 80-bit long double so a
     rounded quotient/product cannot mask a true violation, and requires
     the reconstruction to be finite and nonzero (sign preservation is
-    structural: the coder re-applies the original sign bit).
+    structural: the coder re-applies the original sign bit).  The
+    verdict is written into the bool array ``out``.
     """
-    a = abs_original.astype(np.longdouble)
-    r = np.abs(recon).astype(np.longdouble)
+    n = out.size
+    a = scratch("relq.ld_a", n, np.longdouble)
+    r = scratch("relq.ld_r", n, np.longdouble)
+    q = scratch("relq.ld_q", n, np.longdouble)
+    tb = scratch("relq.ld_tb", n, np.bool_)
+    np.copyto(a, abs_original)
+    np.abs(recon, out=r)
     one_plus = np.longdouble(1.0) + np.longdouble(eps)
     with np.errstate(invalid="ignore", divide="ignore"):
-        lo_ok = a / one_plus <= r
-        hi_ok = r <= a * one_plus
-    finite = np.isfinite(recon) & (r > 0)
-    return lo_ok & hi_ok & finite
+        np.divide(a, one_plus, out=q)
+        np.less_equal(q, r, out=out)
+        np.multiply(a, one_plus, out=q)
+        np.less_equal(r, q, out=tb)
+    np.logical_and(out, tb, out=out)
+    np.isfinite(recon, out=tb)
+    np.logical_and(out, tb, out=out)
+    # r > 0 on a finite recon is recon != 0, tested in its own dtype
+    np.not_equal(recon, 0, out=tb)
+    np.logical_and(out, tb, out=out)

@@ -77,20 +77,23 @@ def check_rel(original: np.ndarray, recon: np.ndarray, bound: float) -> BoundRep
 
     Follows the paper's definition: same sign and
     ``|v|/(1+eps) <= |v'| <= |v|*(1+eps)``; zeros must decode to zero.
+    As in :func:`check_abs`, a lane passes only if it provably satisfies
+    the bound, so a NaN reconstruction of a finite value is a violation,
+    reported as ``max_error=inf``.
     """
     o, r = _finite_pair(original, recon)
     nz = o != 0
     on, rn = np.abs(o[nz]), np.abs(r[nz])
     one_plus = np.longdouble(1.0) + np.longdouble(bound)
     sign_bad = np.sign(o[nz]) != np.sign(r[nz])
-    range_bad = (rn < on / one_plus) | (rn > on * one_plus)
+    range_bad = ~((rn >= on / one_plus) & (rn <= on * one_plus))
     zero_bad = r[~nz] != 0
 
     # Report severity via the max relative error magnitude.
     with np.errstate(divide="ignore", invalid="ignore"):
         rel_err = np.abs(o[nz] - r[nz]) / on
     max_err = float(rel_err.max()) if rel_err.size else 0.0
-    if np.any(zero_bad):
+    if np.any(zero_bad) or np.isnan(rn).any():
         max_err = float("inf")
     violations = int(np.count_nonzero(sign_bad | range_bad)) + int(zero_bad.sum(dtype=np.int64))
     return BoundReport("rel", float(bound), max_err, violations, int(o.size))

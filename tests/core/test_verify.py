@@ -79,6 +79,14 @@ class TestRel:
         assert not check_rel(v, np.array([100.0 / 1.002]), 1e-3).ok
         assert check_rel(v, np.array([100.0 * 1.0009]), 1e-3).ok
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_reconstruction_is_a_major_violation(self, bad):
+        rep = check_rel(np.array([1.0, 2.0]), np.array([bad, 2.0]), 1e-3)
+        assert not rep.ok
+        assert rep.violations == 1
+        assert rep.max_error == float("inf")
+        assert rep.severity == "major"
+
 
 class TestNoa:
     def test_range_derived_from_data(self):
