@@ -301,7 +301,8 @@ def _load_baseline(path: str) -> set[tuple[str, str, str]] | None:
     import json
 
     try:
-        doc = json.loads(open(path, encoding="utf-8").read())
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
     except (OSError, ValueError):
         return None
     out: set[tuple[str, str, str]] = set()

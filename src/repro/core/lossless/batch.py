@@ -3,7 +3,7 @@
 The per-chunk formulation of :mod:`repro.core.lossless.zerobyte` runs a
 dozen small NumPy calls per 16 kB chunk; on a multi-megabyte input the
 Python dispatch of those calls, not the byte work, dominates encode time
-(see ``BENCH_PR3.json``).  This module applies the *same* transformation
+(DESIGN.md section 6).  This module applies the *same* transformation
 to all full-size chunks at once: every bitmap build, repeat-elimination
 level and zero-byte split operates on one ``(n_chunks, bytes_per_chunk)``
 matrix, and the only per-chunk work left is slicing each chunk's ragged

@@ -1,7 +1,6 @@
 """Benchmark harness: grid runner, Pareto fronts, figure regeneration."""
 
 from .drift import DriftReport, StageDrift, drift_check
-from .trend import TrendCell, TrendReport, compare_snapshots
 from .features import TABLE3_EXPECTED, feature_matrix, render_table3
 from .figures import FIGURES, FigureData, FigureSpec, Variant, clear_cache, figure_data
 from .pareto import ParetoPoint, is_dominated, pareto_front
@@ -20,9 +19,6 @@ __all__ = [
     "DriftReport",
     "StageDrift",
     "drift_check",
-    "TrendCell",
-    "TrendReport",
-    "compare_snapshots",
     "feature_matrix",
     "render_table3",
     "TABLE3_EXPECTED",

@@ -1,5 +1,7 @@
 """Bound-verification helpers (the severity taxonomy of Section V)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,18 @@ class TestRel:
         assert rep.violations == 1
         assert rep.max_error == float("inf")
         assert rep.severity == "major"
+
+
+@pytest.mark.parametrize("check", [check_abs, check_rel])
+def test_signalling_nan_reconstruction_is_a_violation_without_warning(check):
+    # Widening a float32 signalling NaN to long double raises FE_INVALID;
+    # the oracle must judge the lane without warning.
+    recon = np.array([0x7F800001, 0x40000000], dtype=np.uint32).view(np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = check(np.array([1.0, 2.0], dtype=np.float32), recon, 1e-3)
+    assert rep.violations == 1
+    assert rep.max_error == float("inf")
 
 
 class TestNoa:
