@@ -17,7 +17,7 @@ tells the decoder how many words are real.
 
 Format v3 (per-chunk pipeline selection) packs a 2-bit pipeline id into
 bits 29-30 of each size-table entry, leaving 29 bits for the size; the
-encoder evaluates every candidate variant and stores the smallest.  For
+encoder sizes every candidate variant and stores the smallest.  For
 v1/v2 streams those bits are part of the size field and must be zero
 for any realistic chunk geometry -- :func:`validate_size_table` rejects
 a legacy table carrying pipeline ids (and a v3 table carrying the
@@ -217,25 +217,17 @@ class ChunkCodec:
     def encode_chunk(self, chunk_words: np.ndarray) -> tuple[bytes, bool, int]:
         """Compress one chunk; returns (blob, is_raw, pipeline_id).
 
-        With selection configured, every candidate variant is evaluated
-        (shared-stage, see :meth:`LosslessPipeline.encode_variants`) and
-        the smallest blob wins; ties go to the lowest id.  Falls back to
-        the raw words (id 0) whenever no candidate shrinks the chunk,
+        With selection configured, every candidate variant is sized and
+        only the winner is encoded (see
+        :meth:`LosslessPipeline.encode_variants` and
+        :func:`~repro.core.lossless.pipeline.select_winners`).  Falls back
+        to the raw words (id 0) whenever no candidate shrinks the chunk,
         exactly capping worst-case expansion.
         """
-        raw_size = chunk_words.size * self.word_itemsize
         if self.select:
-            blobs = self.pipeline.encode_variants(chunk_words, self.select)
-            best = 0
-            for i in range(1, len(blobs)):
-                if len(blobs[i]) < len(blobs[best]):
-                    best = i
-            blob = blobs[best]
-            if len(blob) >= raw_size:
-                return chunk_words.tobytes(), True, 0
-            return blob, False, self.select[best]
+            return self.pipeline.encode_variants(chunk_words, self.select)
         blob = self.pipeline.encode_chunk(chunk_words)
-        if len(blob) >= raw_size:
+        if len(blob) >= chunk_words.size * self.word_itemsize:
             return chunk_words.tobytes(), True, 0
         return blob, False, 0
 
@@ -267,35 +259,20 @@ class ChunkCodec:
         incompressible fallback decided vectorized: any row whose best
         blob failed to shrink below the raw byte count is replaced by its
         raw words (id 0), exactly as :meth:`encode_chunk` decides per
-        chunk.  With selection configured the per-row winner is the
-        argmin over candidate sizes (first minimum = lowest id, since
-        the candidate tuple is sorted).
+        chunk.  With selection configured the pipeline sizes every
+        candidate row-wise and encodes only the winners
+        (:meth:`LosslessPipeline.encode_batch_variants`).
         """
-        n_rows = words.shape[0]
-        raw_size = words.shape[1] * self.word_itemsize
         if self.select:
-            per_variant = self.pipeline.encode_batch_variants(words, self.select)
-            sizes = np.empty((len(per_variant), n_rows), dtype=np.int64)
-            for v, variant_blobs in enumerate(per_variant):
-                for i, b in enumerate(variant_blobs):
-                    sizes[v, i] = len(b)
-            best = np.argmin(sizes, axis=0)
-            pids = np.asarray(self.select, dtype=np.uint8)[best]
-            best_sizes = sizes[best, np.arange(n_rows, dtype=np.int64)]
-            raw_flags = best_sizes >= raw_size
-            blobs = [per_variant[int(best[i])][i] for i in range(n_rows)]
-            for i in np.flatnonzero(raw_flags):
-                blobs[int(i)] = words[int(i)].tobytes()
-                pids[int(i)] = 0
-            return blobs, raw_flags, pids
+            return self.pipeline.encode_batch_variants(words, self.select)
         blobs = self.pipeline.encode_batch(words)
         sizes = np.fromiter(
             (len(b) for b in blobs), dtype=np.int64, count=len(blobs)
         )
-        raw_flags = sizes >= raw_size
+        raw_flags = sizes >= words.shape[1] * self.word_itemsize
         for i in np.flatnonzero(raw_flags):
             blobs[int(i)] = words[int(i)].tobytes()
-        return blobs, raw_flags, np.zeros(n_rows, dtype=np.uint8)
+        return blobs, raw_flags, np.zeros(len(blobs), dtype=np.uint8)
 
     def decode_batch(
         self,

@@ -10,13 +10,16 @@ matrix, and the only per-chunk work left is slicing each chunk's ragged
 segments out of the compacted row-major arrays.
 
 Raggedness is handled with the codec's own prefix-sum idiom
-(:func:`row_offsets` mirrors ``Backend.prefix_sum``) on the encode side.
-The decoder's cost follows the bytes present instead: each row's kept
-count is a popcount of its packed bitmap, each row's segment is one
-plain slice of the stream (bounds-checked against the size table first),
-and each repeat-elimination level is restored by run length
-(:func:`repeat_restore_batch`) -- no index array as long as the payload
-is ever built.
+(:func:`row_offsets` mirrors ``Backend.prefix_sum``) on the encode side,
+and every row's kept count is the popcount of the packed bitmap level
+that keeps it.  The same popcounts give each row's blob length without
+compacting anything (:func:`compressed_sizes_batch`), which is what lets
+format v3 size every candidate pipeline and compact only the winner.
+The decoder's cost follows the bytes present: it takes the same
+popcounts, slices each row's segment out of the stream (bounds-checked
+against the size table first), and restores each repeat-elimination
+level by run length (:func:`repeat_restore_batch`) -- no index array as
+long as the payload is ever built.
 
 Every function is bit-identical to mapping its per-chunk counterpart
 over the rows (golden-tested), which is what lets the batched kernel
@@ -38,6 +41,7 @@ __all__ = [
     "repeat_eliminate_batch",
     "repeat_restore_batch",
     "compress_bytes_batch",
+    "compressed_sizes_batch",
     "decompress_bytes_batch",
 ]
 
@@ -55,22 +59,43 @@ def row_offsets(counts: np.ndarray) -> np.ndarray:
     return offsets
 
 
+def _row_popcounts(bitmap: np.ndarray) -> np.ndarray:
+    """Set bits of each packed bitmap row, padding bits included (int64).
+
+    Rows whose width is a whole number of 64-bit words are counted eight
+    bytes at a time.
+    """
+    if bitmap.shape[1] % 8 == 0 and bitmap.flags.c_contiguous:
+        bitmap = bitmap.view(np.uint64)
+    return np.bitwise_count(bitmap).sum(axis=1, dtype=np.int64)
+
+
+def _repeat_mask(data: np.ndarray) -> np.ndarray:
+    """Row-wise "differs from its predecessor" mask, each row seeded 0x00.
+
+    Returns a scratch-backed ``(n_chunks, n)`` bool view, so rows never
+    see their neighbours.
+    """
+    keep = scratch("zerobyte.keep", data.shape, np.bool_)
+    if data.size:
+        np.not_equal(data[:, 0], 0, out=keep[:, 0])
+        np.not_equal(data[:, 1:], data[:, :-1], out=keep[:, 1:])
+    return keep
+
+
 def zero_eliminate_batch(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise :func:`~repro.core.lossless.zerobyte.zero_eliminate`.
 
     ``data`` is ``(n_chunks, n)`` uint8; returns ``(bitmap_rows,
     kept_flat, kept_counts)`` where ``kept_flat`` concatenates every
-    row's non-zero bytes in row order.
+    row's non-zero bytes in row order.  Each count is the popcount of
+    the row's packed bitmap (``packbits`` zero-fills the padding bits).
     """
     data = np.ascontiguousarray(data, dtype=np.uint8)
     keep = scratch("zerobyte.keep", data.shape, np.bool_)
     np.not_equal(data, 0, out=keep)
-    return (
-        np.packbits(keep, axis=1),
-        data[keep],
-        # row sums fit int32 (rows are <= one chunk); widen after.
-        keep.sum(axis=1, dtype=np.int32).astype(np.int64),
-    )
+    bitmap = np.packbits(keep, axis=1)
+    return bitmap, data[keep], _row_popcounts(bitmap)
 
 
 def repeat_eliminate_batch(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -80,17 +105,9 @@ def repeat_eliminate_batch(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     per-chunk version, so rows never see their neighbours.
     """
     data = np.ascontiguousarray(data, dtype=np.uint8)
-    prev = scratch("zerobyte.prev", data.shape, np.uint8)
-    keep = scratch("zerobyte.keep", data.shape, np.bool_)
-    if data.size:
-        prev[:, 0] = 0
-        prev[:, 1:] = data[:, :-1]
-    np.not_equal(data, prev, out=keep)
-    return (
-        np.packbits(keep, axis=1),
-        data[keep],
-        keep.sum(axis=1, dtype=np.int32).astype(np.int64),
-    )
+    keep = _repeat_mask(data)
+    bitmap = np.packbits(keep, axis=1)
+    return bitmap, data[keep], _row_popcounts(bitmap)
 
 
 def repeat_restore_batch(
@@ -158,6 +175,27 @@ def compress_bytes_batch(data: np.ndarray, levels: int = DEFAULT_LEVELS) -> list
     return blobs
 
 
+def compressed_sizes_batch(data: np.ndarray, levels: int = DEFAULT_LEVELS) -> np.ndarray:
+    """Each row's exact :func:`compress_bytes_batch` blob length, as int64.
+
+    Nothing is compacted and no blob is assembled.  A blob is the top
+    bitmap, then each repeat level's kept bytes, then the non-zero data
+    bytes; every one of those counts is the popcount of the packed
+    bitmap level that keeps them, so sizing costs the bitmap builds
+    alone.
+    """
+    data = np.ascontiguousarray(data, dtype=np.uint8)
+    keep = scratch("zerobyte.keep", data.shape, np.bool_)
+    np.not_equal(data, 0, out=keep)
+    bitmap = np.packbits(keep, axis=1)
+    sizes = _row_popcounts(bitmap)
+    for _ in range(levels):
+        bitmap = np.packbits(_repeat_mask(bitmap), axis=1)
+        sizes += _row_popcounts(bitmap)
+    sizes += bitmap.shape[1]
+    return sizes
+
+
 def _popcounts(bitmap: np.ndarray, n_bits: int) -> np.ndarray:
     """Set bits among the first ``n_bits`` bits of each packed bitmap row.
 
@@ -168,7 +206,7 @@ def _popcounts(bitmap: np.ndarray, n_bits: int) -> np.ndarray:
     rem = n_bits % 8
     if rem:
         bitmap[:, -1] &= np.uint8(0xFF00 >> rem & 0xFF)
-    return np.bitwise_count(bitmap).sum(axis=1, dtype=np.int64)
+    return _row_popcounts(bitmap)
 
 
 def _advance(

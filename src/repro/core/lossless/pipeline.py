@@ -9,14 +9,17 @@ removing any one transformation "decreases the compression ratio by a
 substantial factor"; the ablation benchmark quantifies that claim).
 
 Format v3 promotes the ablation axis into the codec: a fixed family of
-candidate *variants* (:data:`PIPELINE_VARIANTS`) can be evaluated per
-chunk by actual encoded size, with the winner's 2-bit id stored in the
-size table.  :meth:`LosslessPipeline.encode_variants` /
-:meth:`~LosslessPipeline.encode_batch_variants` evaluate every candidate
-while running each shared stage exactly once (delta once, bitshuffle
-once, one zero-elim pass per candidate), so selection costs one extra
-zero-elim per extra candidate -- and the telemetry spans mirror that
-sharing exactly, which keeps the drift model honest.
+candidate *variants* (:data:`PIPELINE_VARIANTS`) is evaluated per chunk
+by exact encoded size, with the winner's 2-bit id stored in the size
+table.  :meth:`LosslessPipeline.encode_variants` /
+:meth:`~LosslessPipeline.encode_batch_variants` run each shared stage
+once (delta once, bitshuffle once), *size* every candidate from its
+bitmap popcounts (:func:`~repro.core.lossless.batch.compressed_sizes_batch`),
+pick winners by :func:`select_winners`, and compact only the winners --
+so selection costs one bitmap build per candidate plus one zero-elim,
+and a raw chunk is never compacted.  The telemetry spans mirror that
+work exactly (one ``select`` span per candidate, one ``zero-elim`` span
+per compacted group), which keeps the drift model honest.
 
 The pipeline is pure per-chunk computation: given the same words it
 produces the same bytes on every backend, which is the foundation of
@@ -32,7 +35,7 @@ import numpy as np
 from ...errors import PFPLFormatError, PFPLIntegrityError, PFPLUsageError
 from ...telemetry import NULL_TELEMETRY
 from ..scratch import scratch
-from .batch import compress_bytes_batch, decompress_bytes_batch
+from .batch import compress_bytes_batch, compressed_sizes_batch, decompress_bytes_batch
 from .bitshuffle import bitshuffle, bitshuffle_batch, bitunshuffle, bitunshuffle_batch
 from .delta import delta_decode, delta_decode_batch, delta_encode, delta_encode_batch
 from .zerobyte import DEFAULT_LEVELS, compress_bytes, decompress_bytes
@@ -42,6 +45,7 @@ __all__ = [
     "PipelineConfig",
     "PIPELINE_VARIANTS",
     "normalize_selection",
+    "select_winners",
     "variant_config",
 ]
 
@@ -140,6 +144,24 @@ def variant_config(base: PipelineConfig, pipeline_id: int) -> PipelineConfig:
     raise PFPLFormatError(f"reserved pipeline id {pipeline_id}")
 
 
+def select_winners(
+    sizes: np.ndarray, pids: tuple[int, ...], raw_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Format v3's selection rule over a ``(len(pids), n_rows)`` size matrix.
+
+    Each row keeps its smallest blob, ties going to the lowest id
+    (``pids`` is sorted and ``argmin`` returns the first minimum); a row
+    whose best blob is not smaller than its ``raw_size`` raw bytes is
+    stored raw and tagged id 0.  Returns ``(pipeline_ids, raw_flags)``.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    best = np.argmin(sizes, axis=0)
+    raw = np.take_along_axis(sizes, best[None], axis=0)[0] >= raw_size
+    ids = np.asarray(pids, dtype=np.uint8)[best]
+    ids[raw] = 0
+    return ids, raw
+
+
 class LosslessPipeline:
     """Encode/decode one chunk of quantized words.
 
@@ -222,47 +244,112 @@ class LosslessPipeline:
             return blob
         return stream.tobytes()
 
-    def encode_variants(self, words: np.ndarray, pids: tuple[int, ...]) -> list[bytes]:
-        """Encode one chunk under every candidate variant, sharing stages.
+    def encode_variants(
+        self, words: np.ndarray, pids: tuple[int, ...]
+    ) -> tuple[bytes, bool, int]:
+        """Encode one chunk under format v3 selection over ``pids``.
 
-        Returns one blob per id in ``pids`` (same order).  Delta runs at
-        most once, bitshuffle at most once, zero elimination once per
-        candidate -- so the blobs are byte-identical to encoding each
-        variant independently while the marginal cost per candidate is
-        one zero-elim pass.  The spans mirror that sharing (one
-        ``delta+negabinary`` and one ``bitshuffle`` span at most, one
-        ``zero-elim`` span per candidate labeled with the variant name),
-        which the drift model reproduces.
+        Returns ``(blob, is_raw, pipeline_id)``: the winning candidate's
+        blob (byte-identical to encoding that variant alone), or the raw
+        words tagged id 0 when no candidate shrinks the chunk.  Delta and
+        bitshuffle run at most once, every candidate is sized, and only
+        the winner is compacted, through the ``_zero_elim`` hook.
+        """
+        words = np.ascontiguousarray(words, dtype=self.word_dtype)
+        streams = self._candidate_streams(
+            words, pids, self._delta_encode, self._bitshuffle
+        )
+        blobs, raw, ids = self._select(
+            words.reshape(1, -1), streams, pids,
+            lambda rows: [self._zero_elim(rows[0])],
+        )
+        return blobs[0], bool(raw[0]), int(ids[0])
+
+    def _candidate_streams(
+        self, words: np.ndarray, pids: tuple[int, ...], delta, shuffle, **span_args
+    ) -> dict[int, np.ndarray]:
+        """Each candidate's stage-L3 input bytes, keyed by pipeline id.
+
+        ``delta``/``shuffle`` are the stage functions (per-chunk hooks or
+        batch kernels); each runs at most once, in its own span, however
+        many candidates share it.
         """
         tel = self.telemetry
-        words = np.ascontiguousarray(words, dtype=self.word_dtype)
-        delta = None
-        planes: dict[bool, np.ndarray] = {}
-        blobs = []
+        delta_words = None
+        planes = None
+        streams = {}
         for pid in pids:
             cfg = variant_config(self.config, pid)
             w = words
             if cfg.use_delta:
-                if delta is None:
-                    with tel.span("delta+negabinary", cat="encode",
+                if delta_words is None:
+                    with tel.span("delta+negabinary", cat="encode", **span_args,
                                   bytes_in=words.nbytes, bytes_out=words.nbytes):
-                        delta = self._delta_encode(words)
-                w = delta
+                        delta_words = delta(words)
+                w = delta_words
             if cfg.use_bitshuffle:
-                if cfg.use_delta not in planes:
-                    with tel.span("bitshuffle", cat="encode",
+                # Only id 0 keeps the bit shuffle, so at most one plane
+                # stream is ever built.
+                if planes is None:
+                    with tel.span("bitshuffle", cat="encode", **span_args,
                                   bytes_in=w.nbytes) as sp:
-                        planes[cfg.use_delta] = self._bitshuffle(w)
-                        sp.set(bytes_out=planes[cfg.use_delta].size)
-                stream = planes[cfg.use_delta]
+                        planes = shuffle(w)
+                        sp.set(bytes_out=planes.size)
+                streams[pid] = planes
             else:
-                stream = w.view(np.uint8)
-            with tel.span("zero-elim", cat="encode", bytes_in=stream.size,
+                streams[pid] = np.ascontiguousarray(w).view(np.uint8)
+        return streams
+
+    def _select(
+        self, words: np.ndarray, streams: dict[int, np.ndarray],
+        pids: tuple[int, ...], compact, **span_args,
+    ) -> tuple[list[bytes], np.ndarray, np.ndarray]:
+        """Size every candidate, pick winners, compact only the winners.
+
+        ``words`` is the ``(n_rows, n_words)`` block the streams came
+        from (a raw row stores its words); ``compact`` maps a block of
+        one candidate's stream rows to their blobs.  Returns ``(blobs,
+        raw_flags, pipeline_ids)``.
+        """
+        tel = self.telemetry
+        n_rows = words.shape[0]
+        rows_of = {pid: s.reshape(n_rows, -1) for pid, s in streams.items()}
+        raw_size = words.shape[1] * self.word_dtype.itemsize
+        if len(pids) > 1:
+            sizes = np.empty((len(pids), n_rows), dtype=np.int64)
+            for j, pid in enumerate(pids):
+                with tel.span("select", cat="encode", **span_args,
+                              bytes_in=streams[pid].size, bytes_out=0,
+                              pipeline=PIPELINE_VARIANTS[pid]):
+                    sizes[j] = compressed_sizes_batch(
+                        rows_of[pid], levels=self.config.bitmap_levels
+                    )
+            ids, raw = select_winners(sizes, pids, raw_size)
+            groups = [(pid, np.flatnonzero((ids == pid) & ~raw)) for pid in pids]
+        else:
+            # A lone candidate has nothing to be sized against: every row
+            # is compacted, and the blob lengths decide the raw fallback.
+            groups = [(pids[0], np.arange(n_rows, dtype=np.int64))]
+        blobs: list = [None] * n_rows
+        for pid, rows in groups:
+            if not rows.size:
+                continue
+            block = rows_of[pid] if rows.size == n_rows else rows_of[pid][rows]
+            # A batched span names the rows it covered; a per-chunk one none.
+            group = {"chunks": int(rows.size)} if span_args else {}
+            with tel.span("zero-elim", cat="encode", **group,
+                          bytes_in=block.size,
                           pipeline=PIPELINE_VARIANTS[pid]) as sp:
-                blob = self._zero_elim(stream)
-                sp.set(bytes_out=len(blob))
-            blobs.append(blob)
-        return blobs
+                got = compact(block)
+                sp.set(bytes_out=sum(map(len, got)))
+            for i, blob in zip(rows.tolist(), got):
+                blobs[i] = blob
+        if len(pids) == 1:
+            sizes = np.fromiter(map(len, blobs), dtype=np.int64, count=n_rows)
+            ids, raw = select_winners(sizes[None], pids, raw_size)
+        for i in np.flatnonzero(raw).tolist():
+            blobs[i] = words[i].tobytes()
+        return blobs, raw, ids
 
     def decode_chunk(self, blob, n_words: int) -> np.ndarray:
         """Decompress one chunk back into ``n_words`` words."""
@@ -340,57 +427,32 @@ class LosslessPipeline:
 
     def encode_batch_variants(
         self, words: np.ndarray, pids: tuple[int, ...]
-    ) -> list[list[bytes]]:
-        """Batched variant evaluation over a ``(n_chunks, n_words)`` block.
+    ) -> tuple[list[bytes], np.ndarray, np.ndarray]:
+        """Batched :meth:`encode_variants` over a ``(n_chunks, n_words)`` block.
 
-        Returns one blob list per id in ``pids``, each bit-identical to
-        :meth:`encode_batch` under that variant's config.  Shared stages
+        Returns ``(blobs, raw_flags, pipeline_ids)``, bit-identical to
+        mapping :meth:`encode_variants` over the rows.  The shared stages
         run once over the whole matrix (same scratch arenas as
-        :meth:`encode_batch`); only zero elimination repeats per
-        candidate.  Stage sharing and span structure match
-        :meth:`encode_variants` exactly, so per-chunk and batched
-        selection account identically.
+        :meth:`encode_batch`), every candidate is sized row-wise, and the
+        winners are compacted with one :func:`compress_bytes_batch` call
+        per winning id.
         """
-        tel = self.telemetry
         words = np.ascontiguousarray(words, dtype=self.word_dtype)
         n_chunks = words.shape[0]
-        delta = None
-        planes: dict[bool, np.ndarray] = {}
-        out = []
-        for pid in pids:
-            cfg = variant_config(self.config, pid)
-            w = words
-            if cfg.use_delta:
-                if delta is None:
-                    with tel.span("delta+negabinary", cat="encode",
-                                  chunks=n_chunks, bytes_in=words.nbytes,
-                                  bytes_out=words.nbytes):
-                        delta = delta_encode_batch(
-                            words,
-                            out=scratch(
-                                "pipeline.delta", words.shape, self.word_dtype
-                            ),
-                        )
-                w = delta
-            if cfg.use_bitshuffle:
-                if cfg.use_delta not in planes:
-                    with tel.span("bitshuffle", cat="encode", chunks=n_chunks,
-                                  bytes_in=w.nbytes) as sp:
-                        planes[cfg.use_delta] = bitshuffle_batch(
-                            w, out=self._plane_scratch(w)
-                        )
-                        sp.set(bytes_out=planes[cfg.use_delta].size)
-                stream = planes[cfg.use_delta]
-            else:
-                stream = np.ascontiguousarray(w).view(np.uint8)
-            with tel.span("zero-elim", cat="encode", chunks=n_chunks,
-                          bytes_in=stream.size,
-                          pipeline=PIPELINE_VARIANTS[pid]) as sp:
-                blobs = compress_bytes_batch(stream, levels=cfg.bitmap_levels)
-                sizes = list(map(len, blobs))
-                sp.set(bytes_out=sum(sizes), chunk_bytes_out=sizes)
-            out.append(blobs)
-        return out
+        levels = self.config.bitmap_levels
+        streams = self._candidate_streams(
+            words, pids,
+            lambda w: delta_encode_batch(
+                w, out=scratch("pipeline.delta", w.shape, self.word_dtype)
+            ),
+            lambda w: bitshuffle_batch(w, out=self._plane_scratch(w)),
+            chunks=n_chunks,
+        )
+        return self._select(
+            words, streams, pids,
+            lambda rows: compress_bytes_batch(rows, levels=levels),
+            chunks=n_chunks,
+        )
 
     def decode_batch(
         self,

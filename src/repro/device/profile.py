@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.lossless.batch import compressed_sizes_batch
 from ..core.lossless.bitshuffle import bitshuffle
 from ..core.lossless.delta import delta_encode
-from ..core.lossless.pipeline import PIPELINE_VARIANTS, normalize_selection
-from ..core.lossless.zerobyte import compress_bytes
+from ..core.lossless.pipeline import PIPELINE_VARIANTS, normalize_selection, select_winners
 from ..core.quantizers import make_quantizer
 from ..errors import PFPLUsageError
 
@@ -136,11 +136,12 @@ def profile_chunk(
     :func:`~repro.core.lossless.pipeline.normalize_selection`) share the
     delta and bitshuffle stages exactly like
     :meth:`~repro.core.lossless.pipeline.LosslessPipeline.encode_variants`,
-    then each candidate pays its own zero-elim pass, reported as a
-    ``zero-elim[<variant>]`` stage per candidate.  The decode profile
-    models only the *winner* (smallest blob, lowest id on ties): its
-    inverse stages if it beat the raw fallback, ``dequantize`` alone
-    otherwise.
+    each candidate is sized (a ``select[<variant>]`` stage that reads its
+    stream and writes nothing), and only the winner pays a
+    ``zero-elim[<variant>]`` stage -- none when the chunk falls back to
+    raw.  A lone candidate is compacted directly, with no sizing stage.
+    The decode profile models only the winner: its inverse stages if it
+    beat the raw fallback, ``dequantize`` alone otherwise.
     """
     if direction not in ("encode", "decode"):
         raise PFPLUsageError(
@@ -170,7 +171,7 @@ def profile_chunk(
     pad = (-n) % 8
     padded = np.concatenate([delta, np.zeros(pad, dtype=delta.dtype)]) if pad else delta
     planes = bitshuffle(padded)
-    blob = compress_bytes(planes)
+    blob_len = int(compressed_sizes_batch(planes.reshape(1, -1))[0])
     quantize_ops = 6 * n if mode != "rel" else 40 * n  # REL pays for log2/exp2
 
     if pipelines is not None:
@@ -191,7 +192,7 @@ def profile_chunk(
             ops=int(np.log2(width)) * padded.size,
         ))
         profile.stages.append(StageProfile(
-            "zero-elim", planes.size, len(blob), ops=2 * planes.size + planes.size // 2,
+            "zero-elim", planes.size, blob_len, ops=2 * planes.size + planes.size // 2,
         ))
         return profile
 
@@ -200,10 +201,9 @@ def profile_chunk(
     # shrink them, and the decoder then bypasses the lossless inverse
     # stages entirely (ChunkCodec.decode_chunk's is_raw branch).
     padded_bytes = padded.size * word_bytes
-    is_raw = len(blob) >= padded_bytes
-    if not is_raw:
+    if blob_len < padded_bytes:
         profile.stages.append(StageProfile(
-            "zero-restore", len(blob), padded_bytes,
+            "zero-restore", blob_len, padded_bytes,
             ops=2 * planes.size + planes.size // 2,
         ))
         profile.stages.append(StageProfile(
@@ -237,9 +237,12 @@ def _profile_variants(
 
     Mirrors ``LosslessPipeline.encode_variants``: every candidate stream
     has the same byte count (the padded words), delta and bitshuffle run
-    at most once, and each candidate pays one zero-elim pass.  Candidate
-    streams: id 0 compresses the shuffled planes, id 1 the delta words
-    directly, id 2 the quantized words untouched.
+    at most once, every candidate is sized by
+    :func:`~repro.core.lossless.batch.compressed_sizes_batch`, and the
+    winner (:func:`~repro.core.lossless.pipeline.select_winners`) is the
+    one stream compacted.  Candidate streams: id 0 compresses the
+    shuffled planes, id 1 the delta words directly, id 2 the quantized
+    words untouched.
     """
     pad = padded.size - delta.size
     padded_words = (
@@ -250,7 +253,12 @@ def _profile_variants(
         1: padded.view(np.uint8).reshape(-1),
         2: padded_words.view(np.uint8).reshape(-1),
     }
-    blobs = {pid: compress_bytes(streams[pid]) for pid in pids}
+    sizes = np.asarray(
+        [compressed_sizes_batch(streams[pid].reshape(1, -1)) for pid in pids]
+    )
+    padded_bytes = padded.size * word_bytes
+    ids, raw = select_winners(sizes, pids, padded_bytes)
+    winner = None if raw[0] else int(ids[0])
 
     if direction == "encode":
         profile.stages.append(StageProfile(
@@ -262,27 +270,30 @@ def _profile_variants(
             ))
         if 0 in pids:
             profile.stages.append(StageProfile(
-                "bitshuffle", padded.size * word_bytes, planes.size,
+                "bitshuffle", padded_bytes, planes.size,
                 ops=int(np.log2(width)) * padded.size,
             ))
-        for pid in pids:
-            stream_bytes = streams[pid].size
+        if len(pids) > 1:
+            for pid in pids:
+                profile.stages.append(StageProfile(
+                    f"select[{PIPELINE_VARIANTS[pid]}]", padded_bytes, 0,
+                    ops=padded_bytes + padded_bytes // 2,
+                ))
+        # A lone candidate is compacted before the raw decision is made.
+        compacted = pids[0] if len(pids) == 1 else winner
+        if compacted is not None:
             profile.stages.append(StageProfile(
-                f"zero-elim[{PIPELINE_VARIANTS[pid]}]",
-                stream_bytes, len(blobs[pid]),
-                ops=2 * stream_bytes + stream_bytes // 2,
+                f"zero-elim[{PIPELINE_VARIANTS[compacted]}]",
+                padded_bytes, int(sizes[pids.index(compacted), 0]),
+                ops=2 * padded_bytes + padded_bytes // 2,
             ))
         return profile
 
-    # Decode: only the winning candidate's inverse stages run.  Ties go
-    # to the lowest id (candidates are sorted ascending), and the raw
-    # fallback wins whenever no candidate beat the padded words.
-    winner = min(pids, key=lambda pid: (len(blobs[pid]), pid))
-    blob_len = len(blobs[winner])
-    padded_bytes = padded.size * word_bytes
-    if blob_len < padded_bytes:
+    # Decode: only the winning candidate's inverse stages run, and the
+    # raw fallback bypasses them all.
+    if winner is not None:
         profile.stages.append(StageProfile(
-            "zero-restore", blob_len, padded_bytes,
+            "zero-restore", int(sizes[pids.index(winner), 0]), padded_bytes,
             ops=2 * padded_bytes + padded_bytes // 2,
         ))
         if winner == 0:

@@ -70,6 +70,7 @@ _STAGE_ALIASES = {
     "delta-decode": "delta-decode",
     "bitshuffle": "bitshuffle",
     "bitunshuffle": "bitunshuffle",
+    "select": "select",
     "zero-elim": "zero-elim",
     "zero-restore": "zero-restore",
 }
@@ -279,9 +280,17 @@ def drift_check(
         mode=mode, error_bound=float(error_bound),
         n_chunks=n_chunks, n_values=values.size,
     )
+    unmodeled = {"bytes_in": 0, "bytes_out": 0, "ops": 0}
     for direction, stages in (("encode", report.stages),
                               ("decode", report.decode_stages)):
-        for stage, model in analytic[direction].items():
+        # A measured per-chunk stage the model lacks drifts too; only
+        # the per-stream ``assemble`` is outside profile_chunk's scope.
+        names = list(analytic[direction]) + [
+            s for s in measured[direction]
+            if s not in analytic[direction] and s != "assemble"
+        ]
+        for stage in names:
+            model = analytic[direction].get(stage, unmodeled)
             got = measured[direction].get(stage, {})
             stages.append(StageDrift(
                 stage=stage,

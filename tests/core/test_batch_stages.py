@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.lossless.batch import (
     compress_bytes_batch,
+    compressed_sizes_batch,
     decompress_bytes_batch,
     repeat_eliminate_batch,
     repeat_restore_batch,
@@ -37,6 +38,7 @@ from repro.core.lossless.delta import (
     delta_encode_batch,
 )
 from repro.core.lossless.zerobyte import (
+    bitmap_sizes,
     compress_bytes,
     decompress_bytes,
     repeat_eliminate,
@@ -194,6 +196,92 @@ class TestZeroElimBatch:
                              dtype=np.uint8)
         with pytest.raises(PFPLIntegrityError, match="outside"):
             decompress_bytes_batch(blob, np.array([0]), np.array([blob.size + 5]), 64)
+
+
+#: Row widths whose bitmap at every level (level 0 and four repeat
+#: levels) ends in padding bits: 4681 -> 586 -> 74 -> 10 -> 2 -> 1
+#: bytes, each bit count indivisible by 8.  The others cover tiny rows
+#: and the 64-bit popcount path (bitmap widths divisible by 8).
+SIZING_WIDTHS = [1, 3, 9, 71, 577, 4681, 64, 512, 16384]
+
+
+def _edge_rows(n: int) -> np.ndarray:
+    """All-zero, all-0xFF, alternating, and lone non-zero first/last rows."""
+    rows = np.zeros((7, n), dtype=np.uint8)
+    rows[1] = 0xFF
+    rows[2, ::2] = 0xFF
+    rows[3, 1::2] = 1
+    rows[4] = np.resize(np.array([0xAA, 0x55], dtype=np.uint8), n)
+    rows[5, 0] = 9
+    rows[6, -1] = 9
+    return rows
+
+
+class TestCompressedSizes:
+    """``compressed_sizes_batch`` is ``len(compress_bytes(row))``, exactly,
+    for every row -- the sizing pass v3 selection trusts instead of
+    compacting every candidate."""
+
+    @staticmethod
+    def _check(data, levels=4):
+        sizes = compressed_sizes_batch(data, levels=levels)
+        assert sizes.dtype == np.int64 and sizes.shape == (data.shape[0],)
+        assert sizes.tolist() == [
+            len(compress_bytes(row, levels=levels)) for row in data
+        ]
+
+    def test_padding_widths_cover_every_level(self):
+        sizes = [4681] + bitmap_sizes(4681)[:-1]
+        assert all(bits % 8 for bits in sizes), sizes
+
+    def test_zero_and_one_rows(self, rng):
+        self._check(np.zeros((0, 64), dtype=np.uint8))
+        assert compressed_sizes_batch(np.zeros((0, 64), dtype=np.uint8)).size == 0
+        self._check(rng.integers(0, 255, (1, 64), dtype=np.uint8))
+        self._check(np.zeros((1, 0), dtype=np.uint8))
+
+    @pytest.mark.parametrize("n", SIZING_WIDTHS)
+    def test_edge_rows(self, n):
+        self._check(_edge_rows(n))
+
+    @pytest.mark.parametrize("n", SIZING_WIDTHS)
+    def test_random_rows(self, rng, n):
+        data = rng.integers(0, 3, (6, n), dtype=np.uint8) * \
+            rng.integers(0, 255, (6, n), dtype=np.uint8)
+        self._check(data)
+
+    @pytest.mark.parametrize("levels", range(7))
+    @pytest.mark.parametrize("n", [4681, 16384])
+    def test_every_level_count(self, rng, levels, n):
+        data = np.concatenate([
+            _edge_rows(n),
+            rng.integers(0, 2, (3, n), dtype=np.uint8)
+            * rng.integers(1, 255, (3, n), dtype=np.uint8),
+        ])
+        self._check(data, levels=levels)
+
+    @pytest.mark.parametrize("dtype", WORD_DTYPES)
+    def test_word_streams(self, rng, dtype):
+        # The three candidate streams selection sizes: shuffled delta
+        # planes, raw delta words, and the words untouched.
+        words = _word_matrix(rng, 5, 512, dtype)
+        delta = delta_encode_batch(words)
+        for stream in (bitshuffle_batch(delta), delta.view(np.uint8),
+                       words.view(np.uint8)):
+            self._check(np.ascontiguousarray(stream).reshape(5, -1))
+
+    def test_counts_match_compaction(self, rng):
+        # The popcount kept counts of both eliminations equal the bytes
+        # the compaction actually kept.
+        data = np.concatenate([_edge_rows(577),
+                               rng.integers(0, 4, (4, 577), dtype=np.uint8)])
+        for eliminate in (zero_eliminate_batch, repeat_eliminate_batch):
+            _, kept, counts = eliminate(data)
+            assert counts.dtype == np.int64
+            assert int(counts.sum()) == kept.size
+            reference = zero_eliminate if eliminate is zero_eliminate_batch \
+                else repeat_eliminate
+            assert counts.tolist() == [reference(row)[1].size for row in data]
 
 
 def _blob_stream(rng, rows: int, n: int, zero_row: int | None = None):

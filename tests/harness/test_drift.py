@@ -153,30 +153,58 @@ class TestPipelineSelectionDrift:
     def test_shared_stage_structure(self):
         # The analytic encode model mirrors encode_variants' sharing:
         # delta appears only if a candidate uses it, bitshuffle only for
-        # the default candidate, zero-elim always (one row per candidate
-        # collapsed onto the measured name).
+        # the default candidate, one ``select`` row (the per-candidate
+        # sizing spans) only when there is more than one candidate to
+        # size, and zero-elim always (a lone candidate is compacted
+        # directly).  drift_check also reports any measured stage the
+        # model lacks, so these sets are the measured stages too.
         values = _selection_datasets()["smooth"]
         stages = lambda sel: {  # noqa: E731
             s.stage for s in drift_check(values, pipelines=sel).stages
         }
         assert stages([2]) == {"quantize", "zero-elim"}
         assert stages([1]) == {"quantize", "delta+negabinary", "zero-elim"}
-        assert stages([0, 1, 2]) == {
+        assert stages([0]) == {
             "quantize", "delta+negabinary", "bitshuffle", "zero-elim",
         }
+        assert stages([1, 2]) == {
+            "quantize", "delta+negabinary", "select", "zero-elim",
+        }
+        assert stages([0, 1, 2]) == {
+            "quantize", "delta+negabinary", "bitshuffle", "select", "zero-elim",
+        }
 
-    def test_selection_zero_elim_counts_every_candidate(self):
-        # Three candidates => the zero-elim row's bytes_in triples the
-        # single-candidate row (every candidate pays its own pass over
-        # the same padded words), measured and analytic alike.
-        values = _selection_datasets()["smooth"]
-        one = drift_check(values, pipelines=[0])
-        three = drift_check(values, pipelines=[0, 1, 2])
-        pick = lambda rep: next(  # noqa: E731
-            s for s in rep.stages if s.stage == "zero-elim"
+    def test_selection_compacts_only_winners(self):
+        # Three candidates => the select row reads every candidate's
+        # stream (3x the padded words) and writes nothing, while the
+        # zero-elim row compacts each non-raw chunk once.  A lone
+        # candidate compacts every chunk, raw ones included.  Measured
+        # and analytic alike.
+        chunk_bytes = 16384
+        pick = lambda rep, stage: next(  # noqa: E731
+            s for s in rep.stages if s.stage == stage
         )
-        assert pick(three).measured_bytes_in == 3 * pick(one).measured_bytes_in
-        assert pick(three).analytic_bytes_in == 3 * pick(one).analytic_bytes_in
+        for name, n_raw in (("smooth", 0), ("raw-mixed", 1)):
+            values = _selection_datasets()[name]
+            n_chunks = values.nbytes // chunk_bytes
+            one = drift_check(values, pipelines=[0])
+            three = drift_check(values, pipelines=[0, 1, 2])
+            assert one.bytes_ok and three.bytes_ok, three.render()
+            for side in ("measured", "analytic"):
+                got = lambda rep, stage, key: getattr(  # noqa: E731
+                    pick(rep, stage), f"{side}_bytes_{key}"
+                )
+                assert got(one, "zero-elim", "in") == n_chunks * chunk_bytes
+                assert got(three, "select", "in") == 3 * n_chunks * chunk_bytes
+                assert got(three, "select", "out") == 0
+                assert got(three, "zero-elim", "in") == \
+                    (n_chunks - n_raw) * chunk_bytes
+        # Smooth chunks all pick the default pipeline: the one
+        # compaction pass is exactly the lone default candidate's.
+        values = _selection_datasets()["smooth"]
+        assert pick(drift_check(values, pipelines=[0, 1, 2]), "zero-elim") \
+            .measured_bytes_out == pick(drift_check(values, pipelines=[0]),
+                                        "zero-elim").measured_bytes_out
 
 
 class TestScheduleDrift:

@@ -18,7 +18,10 @@ The selection contract, case by case:
   stream, the chunk-major batch path and the per-chunk path emit
   byte-identical streams;
 * **telemetry** -- ``pipeline_selected_total{pipeline}`` accounts for
-  exactly the non-raw chunks.
+  exactly the non-raw chunks;
+* **one compaction per kept chunk** -- every candidate is sized, but
+  only each non-raw chunk's winner is compacted, once, and a raw chunk
+  never is.
 """
 
 from __future__ import annotations
@@ -203,3 +206,50 @@ def test_selected_counter_accounts_for_non_raw_chunks():
             expected[PIPELINE_VARIANTS[int(pid)]] += 1
     assert counts == expected
     assert sum(counts.values()) == int((~raw_flags).sum())
+
+
+@pytest.mark.parametrize("per_chunk", [False, True], ids=["batch", "per-chunk"])
+def test_each_non_raw_chunk_is_compacted_once(monkeypatch, per_chunk):
+    # Smooth, particle, sparse and incompressible chunks plus a ragged
+    # smooth tail.  Count the rows through the pipeline module's batch
+    # compaction and the per-chunk ``_zero_elim`` hook calls.
+    from repro.core.lossless import pipeline as pipeline_mod
+
+    data = np.concatenate([
+        _mixed_all_pids(),
+        np.cumsum(np.random.default_rng(5).normal(0, 0.01, 1001)).astype(np.float32),
+    ])
+    batch_rows: list[int] = []
+    hook_calls: list[int] = []
+    batch = pipeline_mod.compress_bytes_batch
+    hook = pipeline_mod.LosslessPipeline._zero_elim
+
+    def counting_batch(rows, levels):
+        batch_rows.append(rows.shape[0])
+        return batch(rows, levels=levels)
+
+    def counting_hook(self, stream):
+        hook_calls.append(stream.size)
+        return hook(self, stream)
+
+    monkeypatch.setattr(pipeline_mod, "compress_bytes_batch", counting_batch)
+    monkeypatch.setattr(pipeline_mod.LosslessPipeline, "_zero_elim", counting_hook)
+    backend = PerChunkBackend() if per_chunk else None
+    stream = PFPLCompressor(
+        mode="abs", error_bound=1e-4, dtype=data.dtype, format_version=3,
+        backend=backend,
+    ).compress(data).data
+    monkeypatch.undo()
+    assert stream == compress(data, error_bound=1e-4, format_version=3)
+    _, _, raw_flags, pids, _ = _parse_stream(stream)
+    assert raw_flags.any() and not raw_flags[-1]
+    assert {int(p) for p, r in zip(pids, raw_flags) if not r} == {0, 1, 2}
+    non_raw = int(np.count_nonzero(~raw_flags))
+    if per_chunk:
+        assert batch_rows == []
+        assert len(hook_calls) == non_raw
+    else:
+        # Full chunks go through the batch compaction, grouped by
+        # winning id; the ragged tail through the per-chunk hook.
+        assert sum(batch_rows) == non_raw - 1
+        assert len(hook_calls) == 1

@@ -94,16 +94,16 @@ class TestWriterMisuse:
     def test_noa_append_beyond_declared_range_rejected(self):
         # NOA's bound is eps * value_range; values widening the span past
         # the declaration would invalidate already-written chunks.
-        w = PFPLWriter(io.BytesIO(), mode="noa", error_bound=1e-3,
-                       value_range=2.0)
-        w.append(np.linspace(0.0, 2.0, 100, dtype=np.float32))
-        with pytest.raises(PFPLUsageError, match="value_range"):
-            w.append(np.array([3.5], dtype=np.float32))
-        # The rejected append left no trace: count unchanged, and valid
-        # appends still work.
-        assert w.values_appended == 100
-        w.append(np.array([1.0], dtype=np.float32))
-        assert w.values_appended == 101
+        with PFPLWriter(io.BytesIO(), mode="noa", error_bound=1e-3,
+                        value_range=2.0) as w:
+            w.append(np.linspace(0.0, 2.0, 100, dtype=np.float32))
+            with pytest.raises(PFPLUsageError, match="value_range"):
+                w.append(np.array([3.5], dtype=np.float32))
+            # The rejected append left no trace: count unchanged, and
+            # valid appends still work.
+            assert w.values_appended == 100
+            w.append(np.array([1.0], dtype=np.float32))
+            assert w.values_appended == 101
 
     def test_noa_range_check_ignores_nonfinite(self):
         sink = io.BytesIO()

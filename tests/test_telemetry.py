@@ -192,10 +192,10 @@ class TestExporters:
                        if e["name"] == stage} - {None}
             assert batched + len(singles) == n_chunks, stage
 
-        # The file form round-trips through json.load.
+        # The file form round-trips through json.
         path = tmp_path / "trace.json"
         tel.write_chrome_trace(path)
-        assert json.load(open(path)) == json.loads(json.dumps(trace))
+        assert json.loads(path.read_text()) == json.loads(json.dumps(trace))
 
     def test_span_cap_counts_drops(self):
         tel = Telemetry(max_spans=3)
