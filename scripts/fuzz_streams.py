@@ -34,8 +34,8 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import io
 import sys
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,10 +204,26 @@ def apply_mutation(kind: str, golden: Golden, rng: np.random.Generator,
 CAUGHT, BENIGN, SILENT, RAW = "caught", "benign", "silent", "raw"
 
 
+#: Window length of the reader route: a multiple of neither chunk
+#: geometry, so every window starts and ends inside a chunk.
+_WINDOW = 5000
+
+
 def _decode(mutant: bytes, via_reader: bool) -> np.ndarray:
-    if via_reader:
-        return PFPLReader(io.BytesIO(mutant)).read()
-    return decompress(mutant)
+    """Decode ``mutant`` with ``decompress``, or (``via_reader``) from a
+    real temporary file, in unaligned windows that cover the stream --
+    the positioned-read source and the window edge handling."""
+    if not via_reader:
+        return decompress(mutant)
+    with tempfile.TemporaryFile() as fh:
+        fh.write(mutant)
+        fh.seek(0)
+        reader = PFPLReader(fh)
+        out = np.empty(len(reader), dtype=reader.header.dtype)
+        for start in range(0, out.size, _WINDOW):
+            stop = min(start + _WINDOW, out.size)
+            out[start:stop] = reader.read(start, stop - start)
+        return out
 
 
 def classify(golden: Golden, mutant: bytes, via_reader: bool = False):

@@ -35,25 +35,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import (
-    PFPLConfigMismatchError,
-    PFPLError,
-    PFPLFormatError,
-    PFPLIntegrityError,
-    PFPLTruncatedError,
-    PFPLUsageError,
-)
+from ..errors import PFPLConfigMismatchError, PFPLFormatError, PFPLUsageError
 from ..telemetry import NULL_TELEMETRY
-from .chunking import CHUNK_BYTES, ChunkCodec, plan_shards, validate_size_table
+# validate_size_table is unused here: perfbench/layers.py patches this
+# module's binding.
+from .chunking import CHUNK_BYTES, ChunkCodec, plan_shards, validate_size_table  # noqa: F401
 from .floatbits import layout_for
 from .header import Header
 from .kernel import ChunkKernel, ChunkStats
-from .lossless.pipeline import (
-    LosslessPipeline,
-    PipelineConfig,
-    normalize_selection,
-    variant_config,
-)
+from .lossless.pipeline import LosslessPipeline, PipelineConfig, normalize_selection
 from .quantizers import Quantizer, make_quantizer
 
 __all__ = ["PFPLCompressor", "compress", "decompress", "CompressionResult", "InlineBackend"]
@@ -119,14 +109,37 @@ def resolve_format_options(
     return config, bool(checksum)
 
 
-def _crc_footer(prefix: bytes, blobs: Sequence[bytes]) -> bytes:
-    """Build the version-2 checksum footer: CRC-32 of the header + size
-    table, then CRC-32 of each chunk payload (little-endian u32 each)."""
-    crcs = np.empty(1 + len(blobs), dtype="<u4")
+def frame_stream(
+    mode: str, dtype, error_bound: float, value_range: float, count: int,
+    words_per_chunk: int, config: PipelineConfig, checksum: bool,
+    sizes: Sequence[int], raw_flags: Sequence[bool], pipeline_ids: Sequence[int],
+    chunk_crcs: Sequence[int],
+) -> tuple[bytes, bytes]:
+    """The container around a stream's chunk payloads: ``(prefix, footer)``.
+
+    The prefix is the header plus the size table; the footer (checksummed
+    streams only, else empty) is the CRC-32 of the prefix followed by
+    ``chunk_crcs``, the CRC-32 of each chunk payload (little-endian u32
+    each).  Shared by :meth:`PFPLCompressor.compress` and
+    :class:`repro.io.PFPLWriter`, so both write the same bytes.
+    """
+    header = Header(
+        mode=mode, dtype=dtype, error_bound=error_bound, value_range=value_range,
+        count=count, words_per_chunk=words_per_chunk, n_chunks=len(sizes),
+        use_delta=config.use_delta, use_bitshuffle=config.use_bitshuffle,
+        use_zero_elim=config.use_zero_elim, bitmap_levels=config.bitmap_levels,
+        checksum=checksum, pipeline_select=bool(config.select),
+    )
+    table = ChunkCodec.build_size_table(
+        sizes, raw_flags, pipeline_ids if config.select else None
+    )
+    prefix = header.pack() + table.astype("<u4").tobytes()
+    if not checksum:
+        return prefix, b""
+    crcs = np.empty(1 + len(chunk_crcs), dtype="<u4")
     crcs[0] = zlib.crc32(prefix)
-    for i, blob in enumerate(blobs):
-        crcs[1 + i] = zlib.crc32(blob)
-    return crcs.tobytes()
+    crcs[1:] = chunk_crcs
+    return prefix, crcs.tobytes()
 
 
 class InlineBackend:
@@ -211,38 +224,6 @@ class CompressionResult:
     @property
     def lossless_fraction(self) -> float:
         return self.lossless_values / self.total_values if self.total_values else 0.0
-
-
-def _kernel_for_header(header: Header, backend, telemetry=NULL_TELEMETRY) -> ChunkKernel:
-    """Rebuild the decode-side fused kernel a stream's header describes.
-
-    Header fields come from untrusted bytes, so a quantizer rejecting its
-    parameters (a bound the mode cannot honor, a bad NOA range) is a
-    *format* problem of the stream, not a caller bug -- re-raised as
-    :class:`PFPLFormatError`.
-    """
-    config = PipelineConfig(
-        use_delta=header.use_delta,
-        use_bitshuffle=header.use_bitshuffle,
-        use_zero_elim=header.use_zero_elim,
-        bitmap_levels=header.bitmap_levels,
-    )
-    layout = layout_for(header.dtype)
-    kwargs = {}
-    if header.mode == "noa":
-        kwargs["value_range"] = header.value_range
-    try:
-        quantizer = make_quantizer(
-            header.mode, header.error_bound, dtype=layout.float_dtype, **kwargs
-        )
-    except PFPLError:
-        raise
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise PFPLFormatError(f"corrupt header: {exc}") from exc
-    # Honor the stream's chunk geometry (the paper's default is 16 kB;
-    # the chunk-size ablation writes other sizes).
-    chunk_bytes = header.words_per_chunk * layout.uint_dtype.itemsize
-    return backend.make_kernel(quantizer, config, chunk_bytes, telemetry=telemetry)
 
 
 def encode_one_chunk(kernel: ChunkKernel, tel, index: int, float_slice: np.ndarray):
@@ -421,33 +402,19 @@ class PFPLCompressor:
         kernel = self.backend.make_kernel(
             quantizer, self.config, self.chunk_bytes, telemetry=tel
         )
-        plan = kernel.plan(flat.size)
         blobs, raw_flags, pids, stats = encode_chunks(self.backend, kernel, flat, tel)
 
-        header = Header(
-            mode=self.mode,
-            dtype=self.layout.float_dtype,
-            error_bound=self.error_bound,
-            value_range=float(params.get("value_range", 0.0)),
-            count=flat.size,
-            words_per_chunk=plan.words_per_chunk,
-            n_chunks=plan.n_chunks,
-            use_delta=self.config.use_delta,
-            use_bitshuffle=self.config.use_bitshuffle,
-            use_zero_elim=self.config.use_zero_elim,
-            bitmap_levels=self.config.bitmap_levels,
-            checksum=self.checksum,
-            pipeline_select=bool(self.config.select),
+        prefix, footer = frame_stream(
+            self.mode, self.layout.float_dtype, self.error_bound,
+            float(params.get("value_range", 0.0)), flat.size,
+            kernel.words_per_chunk, self.config, self.checksum,
+            [len(b) for b in blobs], raw_flags, pids,
+            [zlib.crc32(b) for b in blobs] if self.checksum else [],
         )
-        table = ChunkCodec.build_size_table(
-            [len(b) for b in blobs], raw_flags,
-            pids if self.config.select else None,
-        )
-        prefix = header.pack() + table.astype("<u4").tobytes()
-        if self.checksum:
+        if footer:
             # The footer rides as one extra blob so assembly stays a single
             # scatter into the preallocated buffer.
-            blobs = blobs + [_crc_footer(prefix, blobs)]
+            blobs = blobs + [footer]
         with tel.span(
             "assemble", cat="encode",
             bytes_in=sum(map(len, blobs)) + len(prefix),
@@ -548,145 +515,15 @@ def decompress(
     pipeline configuration all come from the header, so any PFPL stream
     decompresses on any device -- the paper's portability property.
 
-    Each chunk's fused kernel writes its floats directly into that
-    chunk's slice of the output array (pass ``out`` to reuse a caller
-    buffer); no per-chunk arrays are concatenated, so peak memory is the
-    output array plus chunk-sized temporaries.
-
-    The execution shape follows the backend as in
-    :class:`PFPLCompressor`.  On a ``batch_capable`` backend every
-    non-raw full-size chunk decodes as a row of one chunk-major matrix;
-    raw chunks and the ragged tail always take the per-chunk kernel.
+    This is :meth:`StreamDecoder.decode_all
+    <repro.core.random_access.StreamDecoder.decode_all>`: the stream is
+    validated once, and every chunk's kernel writes its floats directly
+    into that chunk's slice of the output array (pass ``out`` to reuse a
+    caller buffer), so peak memory is the output array plus shard-sized
+    temporaries.  The execution shape follows the backend as in
+    :class:`PFPLCompressor`.
     """
-    backend = backend or InlineBackend()
-    tel = telemetry or NULL_TELEMETRY
-    header = Header.unpack(stream).validate()
+    # Imported here: random_access builds on this module's InlineBackend.
+    from .random_access import StreamDecoder
 
-    kernel = _kernel_for_header(header, backend, telemetry=tel)
-    plan = kernel.plan(header.count)
-    if plan.n_chunks != header.n_chunks or plan.words_per_chunk != header.words_per_chunk:
-        raise PFPLFormatError("corrupt PFPL header: chunk plan mismatch")
-
-    table = header.read_size_table(stream)
-    sizes, raw_flags, pids, _ = ChunkCodec.parse_size_table(
-        table, header.pipeline_select
-    )
-    validate_size_table(
-        plan, sizes, raw_flags, kernel.layout.uint_dtype.itemsize,
-        header.use_zero_elim, header.bitmap_levels,
-        pipeline_ids=pids, pipeline_select=header.pipeline_select,
-    )
-    starts = backend.prefix_sum(sizes) + header.payload_offset
-    payload_end = int(starts[-1] + sizes[-1]) if header.n_chunks else header.payload_offset
-    if len(stream) < payload_end + header.footer_bytes:
-        raise PFPLTruncatedError("PFPL stream truncated inside the chunk payload")
-
-    chunk_crcs = None
-    if header.checksum:
-        crcs = np.frombuffer(
-            stream, dtype="<u4", count=1 + header.n_chunks, offset=payload_end
-        )
-        if int(crcs[0]) != zlib.crc32(stream[: header.payload_offset]):
-            raise PFPLIntegrityError(
-                "PFPL header/size-table checksum mismatch (stream corrupted)"
-            )
-        chunk_crcs = crcs[1:]
-
-    if out is None:
-        out = np.empty(header.count, dtype=kernel.layout.float_dtype)
-    elif out.shape != (header.count,) or out.dtype != kernel.layout.float_dtype:
-        raise PFPLConfigMismatchError(
-            f"output buffer must be ({header.count},) {kernel.layout.float_dtype}, "
-            f"got {out.shape} {out.dtype}"
-        )
-
-    view = memoryview(stream)
-
-    def decode_one(index: int) -> None:
-        lo = int(starts[index])
-        hi = lo + int(sizes[index])
-        blob = view[lo:hi]
-        with tel.chunk(index), tel.span(
-            "chunk_decode", cat="chunk", bytes_in=int(sizes[index])
-        ):
-            if chunk_crcs is not None and zlib.crc32(blob) != int(chunk_crcs[index]):
-                raise PFPLIntegrityError(
-                    f"chunk {index} checksum mismatch (stream corrupted)"
-                )
-            vlo, vhi = plan.chunk_value_bounds(index)
-            kernel.decode_chunk(
-                blob, vhi - vlo, bool(raw_flags[index]), out=out[vlo:vhi],
-                pipeline_id=int(pids[index]),
-            )
-
-    n_full = plan.n_chunks
-    if plan.n_chunks and plan.n_words != plan.n_chunks * plan.words_per_chunk:
-        n_full -= 1
-
-    if n_full and getattr(backend, "batch_capable", False):
-        # Batched rows: non-raw full-size chunks, grouped by pipeline id
-        # so every batch decodes under a single lossless variant (v1/v2
-        # streams have one group, id 0).  Raw chunks and the ragged tail
-        # keep the per-chunk kernel below.
-        rows_all = np.flatnonzero(~raw_flags[:n_full])
-        wpc = plan.words_per_chunk
-        out_block = out[: n_full * wpc].reshape(n_full, wpc)
-        payload = np.frombuffer(stream, dtype=np.uint8)
-        base_config = PipelineConfig(
-            use_delta=header.use_delta,
-            use_bitshuffle=header.use_bitshuffle,
-            use_zero_elim=header.use_zero_elim,
-            bitmap_levels=header.bitmap_levels,
-        )
-        offload = bool(getattr(backend, "offload_capable", False))
-
-        def decode_group(rows: np.ndarray, pid: int) -> None:
-            if offload:
-                # Whole-array offload: the backend ships row shards to
-                # worker processes (rebuilt around this group's variant
-                # config) and scatters decoded rows into the output.
-                with tel.span(
-                    "offload_decode", cat="scheduler", chunks=int(rows.size),
-                    bytes_in=int(sizes[rows].sum(dtype=np.int64)),
-                ):
-                    backend.decode_array(
-                        kernel.quantizer, variant_config(base_config, pid),
-                        kernel.chunk_bytes, stream, starts, sizes, rows, wpc,
-                        chunk_crcs, out_block,
-                    )
-                return
-
-            def decode_rows(lo: int, hi: int) -> None:
-                sel = rows[lo:hi]
-                with tel.span(
-                    "batch_decode", cat="chunk", chunks=hi - lo,
-                    bytes_in=int(sizes[sel].sum(dtype=np.int64)),
-                ):
-                    if chunk_crcs is not None:
-                        for index in sel:
-                            blo = int(starts[index])
-                            bhi = blo + int(sizes[index])
-                            if zlib.crc32(view[blo:bhi]) != int(chunk_crcs[index]):
-                                raise PFPLIntegrityError(
-                                    f"chunk {int(index)} checksum mismatch "
-                                    "(stream corrupted)"
-                                )
-                    kernel.decode_rows(
-                        payload, starts[sel], sizes[sel], sel, wpc, out_block,
-                        pipeline_id=pid,
-                    )
-
-            backend.map_batch(decode_rows, int(rows.size), costs=sizes[rows])
-
-        if rows_all.size:
-            for pid in np.unique(pids[rows_all]):
-                decode_group(rows_all[pids[rows_all] == pid], int(pid))
-        rest = [
-            i for i in range(plan.n_chunks) if i >= n_full or raw_flags[i]
-        ]
-    else:
-        rest = list(range(plan.n_chunks))
-
-    rest_costs = sizes[np.asarray(rest, dtype=np.int64)] if rest else sizes[:0]
-    backend.map_chunks(decode_one, rest, costs=rest_costs)
-    return out
+    return StreamDecoder(stream, backend, telemetry).decode_all(out)

@@ -1,4 +1,4 @@
-"""Random-access (partial) decompression.
+"""The stream decoder: whole-stream, windowed and per-chunk decompression.
 
 An extension the paper's format makes natural but leaves unexplored
 (Section VI notes ZFP supports "on-the-fly random-access decompression"
@@ -9,13 +9,14 @@ be reconstructed by decoding only the chunks that overlap it.
     from repro.core.random_access import decompress_range
     window = decompress_range(stream, start=1_000_000, count=4096)
 
-:class:`StreamDecoder` is the engine behind this module *and* the
-file-level :class:`repro.io.PFPLReader`: it parses the header and size
-table once, then serves each chunk by fetching **only that chunk's
-bytes** from its source (a memoryview slice for in-memory streams, a
-positioned ``pread`` for files) and running the fused
-:class:`~repro.core.kernel.ChunkKernel` on them.  Cost is proportional
-to the chunks touched, not the file size.
+:class:`StreamDecoder` is the only code that opens and decodes a PFPL
+stream: :func:`repro.core.compressor.decompress` is its
+:meth:`~StreamDecoder.decode_all`, and the file-level
+:class:`repro.io.PFPLReader` and the archive members wrap it too.  It
+parses the header and size table once, then serves each request by
+fetching **only the bytes of the chunks touched** from its source (a
+memoryview slice for in-memory streams, a positioned ``pread`` for
+files).  Cost is proportional to the chunks touched, not the file size.
 
 The whole stream is validated *eagerly* at construction: every header
 geometry field is range-checked, every size-table entry is bounded by
@@ -37,23 +38,34 @@ import numpy as np
 
 from ..errors import (
     PFPLConfigMismatchError,
+    PFPLError,
     PFPLFormatError,
     PFPLIntegrityError,
     PFPLTruncatedError,
 )
 from ..telemetry import NULL_TELEMETRY
 from .chunking import ChunkCodec, validate_size_table
-from .compressor import InlineBackend, _kernel_for_header
+from .compressor import InlineBackend
+from .floatbits import layout_for
 from .header import HEADER_BYTES, Header
+from .kernel import ChunkKernel
+from .lossless.pipeline import PipelineConfig, variant_config
+from .quantizers import make_quantizer
 
 __all__ = ["StreamDecoder", "decompress_range", "chunk_count", "decompress_chunk"]
 
 
 class _BytesSource:
-    """Zero-copy fetch over an in-memory stream."""
+    """Zero-copy fetch over an in-memory stream (any contiguous buffer)."""
 
     def __init__(self, buf):
-        self._view = memoryview(buf)
+        try:
+            # Byte offsets index the view whatever the buffer's item type.
+            self._view = memoryview(buf).cast("B")
+        except TypeError:
+            raise TypeError(
+                f"cannot read a PFPL stream from {type(buf).__name__}"
+            ) from None
         self.length = self._view.nbytes
 
     def fetch(self, offset: int, size: int):
@@ -66,11 +78,13 @@ class _BytesSource:
 class _FileSource:
     """Bounded positioned-read fetch over a seekable binary file.
 
-    Concurrent fetches (a threaded backend decoding chunks in parallel)
+    Concurrent fetches (a threaded backend decoding shards in parallel)
     must not race on the file position, so reads go through ``os.pread``
     whenever the handle is backed by a real file descriptor; wrappers
     without one (``io.BytesIO``, mocks) fall back to a lock-guarded
-    seek + read.
+    seek + read.  A fetch is checked against the file length before any
+    read (a hostile size table cannot make it allocate), and short reads
+    are resumed: Linux returns at most 0x7ffff000 bytes per ``pread``.
     """
 
     def __init__(self, fh):
@@ -87,15 +101,55 @@ class _FileSource:
         self.length = end - self._base
 
     def fetch(self, offset: int, size: int) -> bytes:
-        if self._fd is not None:
-            data = os.pread(self._fd, size, self._base + offset)
-        else:
-            with self._lock:
-                self._fh.seek(self._base + offset)
-                data = self._fh.read(size)
-        if len(data) != size:
+        if offset + size > self.length:
             raise PFPLTruncatedError("PFPL stream truncated")
-        return data
+        parts = []
+        while size:
+            if self._fd is not None:
+                part = os.pread(self._fd, size, self._base + offset)
+            else:
+                with self._lock:
+                    self._fh.seek(self._base + offset)
+                    part = self._fh.read(size)
+            if not part:
+                raise PFPLTruncatedError("PFPL stream truncated")
+            parts.append(part)
+            offset += len(part)
+            size -= len(part)
+        # One part is returned as is: joining a single bytes object is free.
+        return b"".join(parts)
+
+
+def _kernel_for_header(header: Header, backend, telemetry=NULL_TELEMETRY) -> ChunkKernel:
+    """Rebuild the decode-side fused kernel a stream's header describes.
+
+    Header fields come from untrusted bytes, so a quantizer rejecting its
+    parameters (a bound the mode cannot honor, a bad NOA range) is a
+    *format* problem of the stream, not a caller bug -- re-raised as
+    :class:`PFPLFormatError`.
+    """
+    config = PipelineConfig(
+        use_delta=header.use_delta,
+        use_bitshuffle=header.use_bitshuffle,
+        use_zero_elim=header.use_zero_elim,
+        bitmap_levels=header.bitmap_levels,
+    )
+    layout = layout_for(header.dtype)
+    kwargs = {}
+    if header.mode == "noa":
+        kwargs["value_range"] = header.value_range
+    try:
+        quantizer = make_quantizer(
+            header.mode, header.error_bound, dtype=layout.float_dtype, **kwargs
+        )
+    except PFPLError:
+        raise
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise PFPLFormatError(f"corrupt header: {exc}") from exc
+    # Honor the stream's chunk geometry (the paper's default is 16 kB;
+    # the chunk-size ablation writes other sizes).
+    chunk_bytes = header.words_per_chunk * layout.uint_dtype.itemsize
+    return backend.make_kernel(quantizer, config, chunk_bytes, telemetry=telemetry)
 
 
 class StreamDecoder:
@@ -103,83 +157,89 @@ class StreamDecoder:
 
     Parses and validates the header + size table once (one bounded read
     each), builds the fused decode kernel, and thereafter touches only
-    the bytes of the chunks asked for.  For version-2 streams the
+    the bytes of the chunks asked for.  For checksummed streams the
     header/size-table checksum is verified up front and each chunk's
     checksum when that chunk is decoded.
 
     Parameters
     ----------
     source:
-        ``bytes`` / ``bytearray`` / ``memoryview``, or a seekable binary
-        file positioned at the start of the stream.
+        A bytes-like object (``bytes``, ``bytearray``, ``memoryview``, a
+        NumPy array), or a seekable binary file positioned at the start
+        of the stream.
     backend:
-        Optional execution backend for multi-chunk calls
-        (:meth:`decode_range` / :meth:`decode_all` dispatch fully-covered
-        chunks through ``backend.map_chunks`` with the size table as the
-        cost model).
+        Optional execution backend for multi-chunk calls; its
+        ``batch_capable``/``offload_capable`` attributes pick the
+        execution shape (see :meth:`decode_range`).
     telemetry:
         Optional :class:`repro.telemetry.Telemetry`: records one ``fetch``
-        span (source bytes read) and one ``chunk_decode`` span per chunk
-        decoded, plus the per-stage spans of the fused kernel.
+        span per source read, one ``batch_decode`` span per batch-kernel
+        call and one ``chunk_decode`` span per chunk on the per-chunk
+        kernel, plus the per-stage spans of the fused kernel.
     """
 
     def __init__(self, source, backend=None, telemetry=None):
         self._backend = backend or InlineBackend()
         self._telemetry = telemetry or NULL_TELEMETRY
-        if isinstance(source, (bytes, bytearray, memoryview)):
-            self._source = _BytesSource(source)
-        elif hasattr(source, "seekable") and source.seekable():
+        if hasattr(source, "seekable") and source.seekable():
             self._source = _FileSource(source)
         elif hasattr(source, "read"):
             # Non-seekable stream: one unavoidable full read.
             self._source = _BytesSource(source.read())
         else:
-            raise TypeError(f"cannot read a PFPL stream from {type(source).__name__}")
+            self._source = _BytesSource(source)
+        src = self._source
 
-        self.header = Header.unpack(bytes(self._source.fetch(0, HEADER_BYTES))).validate()
-        table_bytes = bytes(
-            self._source.fetch(HEADER_BYTES, 4 * self.header.n_chunks)
-        )
-        table = np.frombuffer(table_bytes, dtype="<u4")
-        self._sizes, self._raw_flags, self._pids, _ = ChunkCodec.parse_size_table(
-            table, self.header.pipeline_select
-        )
+        header = Header.unpack(
+            bytes(src.fetch(0, min(HEADER_BYTES, src.length)))
+        ).validate()
+        self.header = header
         self._kernel = _kernel_for_header(
-            self.header, self._backend, telemetry=self._telemetry
+            header, self._backend, telemetry=self._telemetry
         )
-        self._plan = self._kernel.plan(self.header.count)
-        if (self._plan.n_chunks != self.header.n_chunks
-                or self._plan.words_per_chunk != self.header.words_per_chunk):
+        self._plan = self._kernel.plan(header.count)
+        if (self._plan.n_chunks != header.n_chunks
+                or self._plan.words_per_chunk != header.words_per_chunk):
             raise PFPLFormatError("corrupt PFPL header: chunk plan mismatch")
+        if src.length < header.payload_offset:
+            raise PFPLTruncatedError(
+                "PFPL stream truncated inside the chunk size table"
+            )
+        table = np.frombuffer(
+            src.fetch(HEADER_BYTES, 4 * header.n_chunks), dtype="<u4"
+        )
+        self._sizes, self._raw_flags, self._pids, _ = ChunkCodec.parse_size_table(
+            table, header.pipeline_select
+        )
         validate_size_table(
             self._plan, self._sizes, self._raw_flags,
             self._kernel.layout.uint_dtype.itemsize,
-            self.header.use_zero_elim, self.header.bitmap_levels,
-            pipeline_ids=self._pids, pipeline_select=self.header.pipeline_select,
+            header.use_zero_elim, header.bitmap_levels,
+            pipeline_ids=self._pids, pipeline_select=header.pipeline_select,
         )
-        self._starts = self._backend.prefix_sum(self._sizes) + self.header.payload_offset
+        self._starts = self._backend.prefix_sum(self._sizes) + header.payload_offset
         payload_end = (
             int(self._starts[-1] + self._sizes[-1])
-            if self.header.n_chunks else self.header.payload_offset
+            if header.n_chunks else header.payload_offset
         )
-        if payload_end + self.header.footer_bytes > self._source.length:
+        if payload_end + header.footer_bytes > src.length:
             raise PFPLTruncatedError(
-                "PFPL stream truncated: header declares "
-                f"{payload_end + self.header.footer_bytes} bytes, source has "
-                f"{self._source.length}"
+                "PFPL stream truncated inside the chunk payload: header "
+                f"declares {payload_end + header.footer_bytes} bytes, source "
+                f"has {src.length}"
             )
         self._chunk_crcs = None
-        if self.header.checksum:
-            footer = bytes(
-                self._source.fetch(payload_end, self.header.footer_bytes)
+        if header.checksum:
+            crcs = np.frombuffer(
+                src.fetch(payload_end, header.footer_bytes), dtype="<u4"
             )
-            crcs = np.frombuffer(footer, dtype="<u4")
-            head = bytes(self._source.fetch(0, self.header.payload_offset))
-            if int(crcs[0]) != zlib.crc32(head):
+            if int(crcs[0]) != zlib.crc32(src.fetch(0, header.payload_offset)):
                 raise PFPLIntegrityError(
                     "PFPL header/size-table checksum mismatch (stream corrupted)"
                 )
             self._chunk_crcs = crcs[1:]
+        #: Chunks holding ``words_per_chunk`` values (all but a ragged tail).
+        self._n_full = header.count // header.words_per_chunk
 
     # -- geometry ------------------------------------------------------------
 
@@ -198,27 +258,104 @@ class StreamDecoder:
 
     # -- decoding ------------------------------------------------------------
 
+    def _fetch(self, lo: int, hi: int) -> tuple[memoryview, int]:
+        """Chunks ``[lo, hi)``'s bytes, in one source read, and their offset."""
+        base = int(self._starts[lo])
+        size = int(self._starts[hi - 1] + self._sizes[hi - 1]) - base
+        tel = self._telemetry
+        with tel.span("fetch", cat="io", bytes=size, chunks=hi - lo):
+            view = memoryview(self._source.fetch(base, size))
+        tel.add("fetch_bytes_total", size)
+        tel.add("fetches_total")
+        return view, base
+
+    def _check_crcs(self, view: memoryview, base: int, indices) -> None:
+        """Verify chunks ``indices`` (bytes in ``view``, from stream offset
+        ``base``) against the checksum footer, if the stream has one."""
+        crcs = self._chunk_crcs
+        if crcs is None:
+            return
+        for index in indices:
+            lo = int(self._starts[index]) - base
+            if zlib.crc32(view[lo:lo + int(self._sizes[index])]) != int(crcs[index]):
+                raise PFPLIntegrityError(
+                    f"chunk {int(index)} checksum mismatch (stream corrupted)"
+                )
+
+    def _decode_one(self, index: int, view: memoryview, base: int, out) -> np.ndarray:
+        """The per-chunk kernel on chunk ``index``, whose bytes ``view`` holds."""
+        size = int(self._sizes[index])
+        lo = int(self._starts[index]) - base
+        tel = self._telemetry
+        with tel.chunk(index), tel.span("chunk_decode", cat="chunk", bytes_in=size):
+            self._check_crcs(view, base, (index,))
+            return self._kernel.decode_chunk(
+                view[lo:lo + size], self.chunk_values(index),
+                bool(self._raw_flags[index]), out=out,
+                pipeline_id=int(self._pids[index]),
+            )
+
+    def _decode_run(self, lo: int, hi: int, start: int, out: np.ndarray, batch: bool) -> None:
+        """Decode chunks ``[lo, hi)``, one shard, after one source fetch.
+
+        ``out`` holds the requested values, from value ``start`` on.  With
+        ``batch`` the non-raw full-size chunks decode as batch rows, one
+        call per pipeline id (on an ``offload_capable`` backend, by its
+        workers, which check their rows' checksums); raw chunks and the
+        ragged tail (every chunk, without ``batch``) take the per-chunk
+        kernel.  A shard inside the requested values decodes in place; one
+        holding a partly requested edge chunk decodes into a shard-sized
+        block, then copies the requested values out.
+        """
+        wpc = self._plan.words_per_chunk
+        kernel, tel = self._kernel, self._telemetry
+        v_lo, v_hi = lo * wpc, min(hi * wpc, self.header.count)
+        end = start + out.size
+        inside = start <= v_lo and v_hi <= end
+        dest = out[v_lo - start:v_hi - start] if inside else np.empty(v_hi - v_lo, out.dtype)
+        view, base = self._fetch(lo, hi)
+        index = np.arange(lo, hi)
+        full = (index < self._n_full) & ~self._raw_flags[lo:hi] & batch
+        rows = index[full]
+        if rows.size:
+            block = dest[:(int(rows[-1]) + 1 - lo) * wpc].reshape(-1, wpc)
+            in_block = slice(lo, lo + block.shape[0])
+        for pid in np.unique(self._pids[rows]):
+            sel = rows[self._pids[rows] == pid]
+            nbytes = int(self._sizes[sel].sum(dtype=np.int64))
+            if getattr(self._backend, "offload_capable", False):
+                with tel.span("offload_decode", cat="scheduler",
+                              chunks=int(sel.size), bytes_in=nbytes):
+                    self._backend.decode_array(
+                        kernel.quantizer,
+                        variant_config(kernel.codec.pipeline.config, int(pid)),
+                        kernel.chunk_bytes, view, self._starts[in_block] - base,
+                        self._sizes[in_block], sel - lo, wpc,
+                        None if self._chunk_crcs is None else self._chunk_crcs[in_block],
+                        block,
+                    )
+                continue
+            with tel.span("batch_decode", cat="chunk", chunks=int(sel.size),
+                          bytes_in=nbytes):
+                self._check_crcs(view, base, sel)
+                kernel.decode_rows(
+                    np.frombuffer(view, dtype=np.uint8), self._starts[sel] - base,
+                    self._sizes[sel], sel - lo, wpc, block, pipeline_id=int(pid),
+                )
+        for i in index[~full]:
+            a = (int(i) - lo) * wpc
+            self._decode_one(int(i), view, base, dest[a:a + self.chunk_values(int(i))])
+        if not inside:
+            a, b = max(v_lo, start), min(v_hi, end)
+            out[a - start:b - start] = dest[a - v_lo:b - v_lo]
+
     def decode_chunk(self, index: int, out: np.ndarray | None = None) -> np.ndarray:
         """Decode one chunk, fetching only that chunk's bytes."""
         if index < 0 or index >= self._plan.n_chunks:
             raise IndexError(f"chunk {index} out of range [0, {self._plan.n_chunks})")
-        tel = self._telemetry
-        size = int(self._sizes[index])
-        with tel.chunk(index):
-            with tel.span("fetch", cat="io", bytes=size):
-                blob = self._source.fetch(int(self._starts[index]), size)
-            tel.add("fetch_bytes_total", size)
-            tel.add("fetches_total")
-            with tel.span("chunk_decode", cat="chunk", bytes_in=size):
-                if (self._chunk_crcs is not None
-                        and zlib.crc32(blob) != int(self._chunk_crcs[index])):
-                    raise PFPLIntegrityError(
-                        f"chunk {index} checksum mismatch (stream corrupted)"
-                    )
-                return self._kernel.decode_chunk(
-                    blob, self.chunk_values(index), bool(self._raw_flags[index]),
-                    out=out, pipeline_id=int(self._pids[index]),
-                )
+        with self._telemetry.chunk(index):
+            view, base = self._fetch(index, index + 1)
+        return self._decode_one(index, view, base, out)
 
     def iter_chunks(self) -> Iterator[np.ndarray]:
         """Yield every chunk's values in order, one chunk resident at a time."""
@@ -228,12 +365,12 @@ class StreamDecoder:
     def decode_range(self, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
         """Reconstruct ``count`` values beginning at index ``start``.
 
-        Decodes only the overlapping chunks, scheduled through the
-        backend's ``map_chunks`` with the size table as per-chunk costs
-        (so a threaded backend genuinely overlaps them): fully-covered
-        chunks land directly in their slice of ``out``, the at-most-two
-        partially-covered boundary chunks go through one chunk-sized
-        scratch buffer each.
+        Decodes only the overlapping chunks, in the backend's execution
+        shape, each shard after one source read: a ``batch_capable``
+        backend runs them as ``map_batch`` shards (size-table costs), an
+        ``offload_capable`` one as one run whose batch rows its workers
+        decode, and any other maps the per-chunk kernel over them with
+        ``map_chunks``.  Pass ``out`` to decode into a caller buffer.
         """
         if start < 0 or count < 0 or start + count > self.header.count:
             raise IndexError(
@@ -244,31 +381,29 @@ class StreamDecoder:
             out = np.empty(count, dtype=dtype)
         elif out.shape != (count,) or out.dtype != dtype:
             raise PFPLConfigMismatchError(
-                f"output buffer must be ({count},) {dtype}"
+                f"output buffer must be ({count},) {dtype}, got {out.shape} {out.dtype}"
             )
         if count == 0:
             return out
-
         wpc = self._plan.words_per_chunk
-        first = start // wpc
-        last = (start + count - 1) // wpc
-
-        def decode_into(index: int) -> None:
-            vlo, vhi = self._plan.chunk_value_bounds(index)
-            olo = max(vlo, start) - start
-            ohi = min(vhi, start + count) - start
-            if ohi - olo == vhi - vlo:
-                self.decode_chunk(index, out=out[olo:ohi])
-            else:
-                chunk = self.decode_chunk(index)
-                out[olo:ohi] = chunk[max(vlo, start) - vlo:min(vhi, start + count) - vlo]
-
-        indices = list(range(first, last + 1))
-        self._backend.map_chunks(decode_into, indices, costs=self._sizes[first:last + 1])
+        first, last = start // wpc, (start + count - 1) // wpc + 1
+        backend, costs = self._backend, self._sizes[first:last]
+        if getattr(backend, "offload_capable", False):
+            self._decode_run(first, last, start, out, True)
+        elif getattr(backend, "batch_capable", False):
+            backend.map_batch(
+                lambda lo, hi: self._decode_run(first + lo, first + hi, start, out, True),
+                last - first, costs=costs,
+            )
+        else:
+            backend.map_chunks(
+                lambda i: self._decode_run(i, i + 1, start, out, False),
+                range(first, last), costs=costs,
+            )
         return out
 
     def decode_all(self, out: np.ndarray | None = None) -> np.ndarray:
-        """Decode the whole stream through per-chunk kernels."""
+        """Decode the whole stream (into ``out`` when given)."""
         return self.decode_range(0, self.header.count, out=out)
 
 

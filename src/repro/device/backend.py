@@ -109,9 +109,20 @@ class Backend:
         """
         raise NotImplementedError
 
+    def _workers(self) -> int:
+        """Workers a batch is split across (1 for the single-thread backends)."""
+        return 1
+
     def batch_shards(self, n_rows: int, costs=None) -> list[tuple[int, int]]:
-        """Contiguous ``(lo, hi)`` row ranges one batched call each covers."""
-        return plan_shards(n_rows, self.batch_rows, costs=costs)
+        """Contiguous ``(lo, hi)`` row ranges one batched call each covers.
+
+        One shard per worker, but never so many that a shard drops below
+        ~16 rows (tiny sub-batches would reintroduce the per-chunk
+        dispatch cost the batch path exists to remove), and none above
+        ``batch_rows``.
+        """
+        n_shards = max(1, min(self._workers(), n_rows // 16))
+        return plan_shards(n_rows, self.batch_rows, n_shards=n_shards, costs=costs)
 
     def map_batch(self, fn: Callable, n_rows: int, costs=None) -> list:
         """Run ``fn(lo, hi)`` over contiguous row shards; results in order.
@@ -392,13 +403,8 @@ class ThreadedBackend(Backend):
             "scratch": scratch_bytes_total(),
         }
 
-    def batch_shards(self, n_rows: int, costs=None) -> list[tuple[int, int]]:
-        """Shard into per-worker sub-batches: enough shards to feed every
-        pool thread, but never so many that a shard drops below ~16 rows
-        (tiny sub-batches would reintroduce the per-chunk dispatch cost
-        the batch path exists to remove)."""
-        n_shards = max(1, min(self.n_threads, n_rows // 16))
-        return plan_shards(n_rows, self.batch_rows, n_shards=n_shards, costs=costs)
+    def _workers(self) -> int:
+        return self.n_threads
 
     def prefix_sum(self, sizes: np.ndarray) -> np.ndarray:
         return carry_array_scan(

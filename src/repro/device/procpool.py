@@ -58,7 +58,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core.chunking import plan_shards
 from ..core.kernel import ChunkKernel, ChunkStats, row_run
 from ..core.lossless.pipeline import LosslessPipeline, PipelineConfig
 from ..core.quantizers import Quantizer
@@ -397,10 +396,8 @@ class ProcessPoolBackend(Backend):
     def prefix_sum(self, sizes: np.ndarray) -> np.ndarray:
         return exclusive_scan_reference(np.asarray(sizes, dtype=np.int64))
 
-    def _shards(self, n_rows: int, costs=None) -> list[tuple[int, int]]:
-        """Per-worker sub-batches; same sizing rule as the threaded pool."""
-        n_shards = max(1, min(self.n_workers, n_rows // 16))
-        return plan_shards(n_rows, self.batch_rows, n_shards=n_shards, costs=costs)
+    def _workers(self) -> int:
+        return self.n_workers
 
     def _merge_worker(self, snap, wid: int, t_submit: float) -> None:
         """Fold one worker's telemetry snapshot onto its ``proc-`` track."""
@@ -499,7 +496,7 @@ class ProcessPoolBackend(Backend):
                 f"encode.out.{threading.get_ident()}", n_rows * raw_bytes
             )
             np.ndarray(block.shape, dtype=block.dtype, buffer=shm_in.buf)[:] = block
-            shards = self._shards(n_rows)
+            shards = self.batch_shards(n_rows)
             t_submit = tel.now()
             futures = [
                 pool.submit(_encode_shard, (
@@ -566,7 +563,7 @@ class ProcessPoolBackend(Backend):
             np.ndarray((len(stream),), dtype=np.uint8, buffer=shm_stream.buf)[:] = (
                 np.frombuffer(stream, dtype=np.uint8)
             )
-            shards = self._shards(int(rows.size), costs=sizes[rows])
+            shards = self.batch_shards(int(rows.size), costs=sizes[rows])
             t_submit = tel.now()
             futures = []
             for lo, hi in shards:

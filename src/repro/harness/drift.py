@@ -390,10 +390,10 @@ def schedule_drift_check(
     Compresses ``values`` quietly, then decodes every chunk through a
     :class:`~repro.core.random_access.StreamDecoder` on a
     :class:`~repro.device.backend.ThreadedBackend` with telemetry on --
-    the object under test is the *per-chunk* scheduler, and
-    ``decode_all`` issues exactly one ``map_chunks`` call (size-table
-    costs attached), whose ``chunk_exec`` spans are the per-item ground
-    truth.  Those measured durations are replayed through
+    the object under test is the *per-chunk* scheduler, so the backend
+    declines batches and ``decode_all`` issues exactly one ``map_chunks``
+    call (size-table costs attached), whose ``chunk_exec`` spans are the
+    per-item ground truth.  Those measured durations are replayed through
     :func:`~repro.device.scheduler.dynamic_schedule` with the pool's
     actual start order, and the simulated makespan/imbalance are
     compared against the measured per-worker busy seconds.
@@ -409,6 +409,7 @@ def schedule_drift_check(
 
     tel = Telemetry()
     backend = ThreadedBackend(n_threads=n_threads, telemetry=tel)
+    backend.batch_capable = False
     StreamDecoder(stream, backend, telemetry=tel).decode_all()
 
     exec_spans = [s for s in tel.spans if s.name == "chunk_exec"]

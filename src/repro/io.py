@@ -29,15 +29,15 @@ from typing import BinaryIO, Iterator
 
 import numpy as np
 
-from .core.chunking import CHUNK_BYTES, ChunkCodec
+from .core.chunking import CHUNK_BYTES
 from .core.compressor import (
     InlineBackend,
-    encode_one_chunk,
     encode_chunks,
+    encode_one_chunk,
+    frame_stream,
     resolve_format_options,
 )
 from .core.floatbits import layout_for
-from .core.header import Header
 from .core.kernel import ChunkStats
 from .core.lossless.pipeline import PipelineConfig
 from .core.quantizers import make_quantizer
@@ -243,28 +243,15 @@ class PFPLWriter:
                 self._flush_chunk(self._pending[:self._pending_len])
                 self._pending_len = 0
 
-            header = Header(
-                mode=self.mode,
-                dtype=self.layout.float_dtype,
-                error_bound=self.error_bound,
-                value_range=float(
+            prefix, footer = frame_stream(
+                self.mode, self.layout.float_dtype, self.error_bound,
+                float(
                     self._kernel.quantizer.header_params().get("value_range", 0.0)
                 ) if self.mode == "noa" else 0.0,
-                count=self._count,
-                words_per_chunk=self._wpc,
-                n_chunks=len(self._table_entries),
-                use_delta=self.config.use_delta,
-                use_bitshuffle=self.config.use_bitshuffle,
-                use_zero_elim=self.config.use_zero_elim,
-                bitmap_levels=self.config.bitmap_levels,
-                checksum=self.checksum,
-                pipeline_select=bool(self.config.select),
+                self._count, self._wpc, self.config, self.checksum,
+                self._table_entries, self._raw_flags, self._pids,
+                self._chunk_crcs,
             )
-            table = ChunkCodec.build_size_table(
-                self._table_entries, self._raw_flags,
-                self._pids if self.config.select else None,
-            )
-            prefix = header.pack() + table.astype("<u4").tobytes()
             # The writer's analogue of backend.assemble: draining the
             # spool into the sink places every chunk at its offset.
             with self.telemetry.span(
@@ -273,11 +260,8 @@ class PFPLWriter:
                 bytes_out=len(prefix) + self._payload_bytes,
             ):
                 self._drain_spool(prefix)
-            if self.checksum:
-                crcs = np.empty(1 + len(self._chunk_crcs), dtype="<u4")
-                crcs[0] = zlib.crc32(prefix)
-                crcs[1:] = self._chunk_crcs
-                self._sink.write(crcs.tobytes())
+            if footer:
+                self._sink.write(footer)
         finally:
             self._spool.close()
 

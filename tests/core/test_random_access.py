@@ -1,11 +1,21 @@
 """Random-access partial decompression (extension feature)."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.core import compress, decompress
-from repro.core.random_access import chunk_count, decompress_chunk, decompress_range
+from repro.core.header import HEADER_BYTES, Header
+from repro.core.random_access import (
+    _FileSource,
+    chunk_count,
+    decompress_chunk,
+    decompress_range,
+)
 from repro.device import get_backend
+from repro.errors import PFPLTruncatedError
+from repro.io import PFPLReader
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +85,37 @@ class TestDecompressChunk:
         stream, _ = stream_and_data
         with pytest.raises(IndexError):
             decompress_chunk(stream, 10_000)
+
+
+class TestFileSource:
+    def test_size_table_checked_against_file_length(self, tmp_path):
+        """A valid 44-byte header claiming 2**32 - 1 chunks of 8 words
+        asks for a 16 GiB size table; the file holds 144 bytes, so the
+        reader must refuse before reading (not attempt the allocation)."""
+        n_chunks = 2**32 - 1
+        header = Header(
+            mode="abs", dtype=np.dtype(np.float32), error_bound=1e-3,
+            value_range=0.0, count=8 * n_chunks, words_per_chunk=8,
+            n_chunks=n_chunks, use_delta=True, use_bitshuffle=True,
+            use_zero_elim=True, bitmap_levels=4,
+        )
+        path = tmp_path / "hostile.pfpl"
+        path.write_bytes(header.pack() + bytes(100))
+        with open(path, "rb") as fh:
+            with pytest.raises(PFPLTruncatedError):
+                PFPLReader(fh)
+            with pytest.raises(PFPLTruncatedError):
+                _FileSource(fh).fetch(HEADER_BYTES, 4 * n_chunks)
+
+    def test_short_reads_are_resumed(self, stream_and_data, tmp_path, monkeypatch):
+        """A positioned read may return fewer bytes than asked (Linux caps
+        one at 0x7ffff000 bytes); the source keeps reading."""
+        stream, _ = stream_and_data
+        path = tmp_path / "s.pfpl"
+        path.write_bytes(stream)
+        real = os.pread
+        monkeypatch.setattr(os, "pread", lambda fd, n, off: real(fd, min(n, 1000), off))
+        with open(path, "rb") as fh:
+            reader = PFPLReader(fh)
+            assert np.array_equal(reader.read(), decompress(stream))
+            assert np.array_equal(reader.read(4000, 9000), decompress(stream)[4000:13000])
