@@ -4,7 +4,8 @@
 Starts the real CLI entry point as a subprocess (with ``--access-log``),
 drives ``--streams`` simultaneous compress and decompress requests
 against it (asserting every compressed body is byte-identical to the
-in-process serial reference), sends one traced request with an inbound
+in-process serial reference), then as many format-v3 ones whose streams
+each hold at least two pipeline ids, sends one traced request with an inbound
 ``traceparent`` and asserts ``/debug/trace/<id>`` shows the trace
 spanning all three tiers (service span, job thread, worker track),
 scrapes ``/metrics`` for the per-tenant counters and the
@@ -33,7 +34,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from repro.core.chunking import ChunkCodec
 from repro.core.compressor import compress, decompress
+from repro.core.header import HEADER_BYTES, Header
 from repro.telemetry import parse_prometheus
 
 BOOT_TIMEOUT_S = 60
@@ -77,19 +80,51 @@ def request(port: int, method: str, target: str, body: bytes = b"",
         conn.close()
 
 
-def drive_streams(port: int, n_streams: int) -> None:
-    """N concurrent compress + decompress streams, byte-checked."""
-    arrays = [
-        np.cumsum(np.random.default_rng(s).normal(0, 0.05, 20_000))
-        .astype(np.float32)
-        for s in range(n_streams)
+def pipeline_ids(stream: bytes) -> set[int]:
+    """The pipeline ids a stream's size table stores for its non-raw chunks."""
+    head = Header.unpack(stream)
+    table = np.frombuffer(stream[HEADER_BYTES:head.payload_offset], dtype="<u4")
+    _, raw, pids, _ = ChunkCodec.parse_size_table(table, head.pipeline_select)
+    return set(pids[~raw].tolist())
+
+
+def v3_array(seed: int) -> np.ndarray:
+    """36 chunks: a smooth half, then a sparse half v3 stores under
+    another pipeline id."""
+    rng = np.random.default_rng(seed)
+    data = np.cumsum(rng.normal(0, 0.05, 36 * 4096)).astype(np.float32)
+    sparse = np.zeros(18 * 4096, dtype=np.float32)
+    sparse[rng.choice(sparse.size, sparse.size // 200, replace=False)] = 1.0
+    data[sparse.size:] = sparse
+    return data
+
+
+def drive_streams(port: int, n_streams: int, format_version: int | None = None) -> None:
+    """N concurrent compress + decompress streams, byte-checked.
+
+    With ``format_version=3`` the requests ask for per-chunk pipeline
+    selection, and every stream's size table holds at least two pipeline
+    ids, so each decompress is one multi-id offload on the process pool.
+    """
+    query, tenant = "mode=abs&bound=1e-3&dtype=f4", "smoke"
+    if format_version == 3:
+        arrays = [v3_array(s) for s in range(n_streams)]
+        query, tenant = query + "&format_version=3", "smoke-v3-"
+    else:
+        arrays = [
+            np.cumsum(np.random.default_rng(s).normal(0, 0.05, 20_000))
+            .astype(np.float32)
+            for s in range(n_streams)
+        ]
+    references = [
+        compress(a, "abs", 1e-3, format_version=format_version) for a in arrays
     ]
-    references = [compress(a, "abs", 1e-3) for a in arrays]
+    if format_version == 3:
+        assert all(len(pipeline_ids(r)) >= 2 for r in references)
 
     def one_compress(i: int):
         return request(
-            port, "POST",
-            f"/v1/compress?mode=abs&bound=1e-3&dtype=f4&tenant=smoke{i}",
+            port, "POST", f"/v1/compress?{query}&tenant={tenant}{i}",
             arrays[i].tobytes(),
         )
 
@@ -107,8 +142,11 @@ def drive_streams(port: int, n_streams: int) -> None:
         assert status == 200, f"decompress stream {i}: HTTP {status}"
         expect = decompress(references[i])
         got = np.frombuffer(body, dtype=np.float32)
-        assert np.array_equal(got, expect), f"decompress stream {i} diverged"
-    print(f"smoke: {n_streams} concurrent streams byte-identical to serial")
+        assert np.array_equal(got.view(np.uint32), expect.view(np.uint32)), (
+            f"decompress stream {i} diverged"
+        )
+    version = f"v{format_version} " if format_version else ""
+    print(f"smoke: {n_streams} concurrent {version}streams byte-identical to serial")
 
 
 def check_metrics(port: int, n_streams: int) -> None:
@@ -200,6 +238,7 @@ def main(argv: list[str] | None = None) -> int:
         proc, port = start_server(args.backend, args.workers, access_log)
         try:
             drive_streams(port, args.streams)
+            drive_streams(port, args.streams, format_version=3)
             check_trace(port, args.backend, access_log)
             check_metrics(port, args.streams)
         except BaseException:

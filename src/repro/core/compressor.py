@@ -239,6 +239,30 @@ def encode_one_chunk(kernel: ChunkKernel, tel, index: int, float_slice: np.ndarr
     return [blob], [raw], [pid], st
 
 
+def encode_shard(
+    kernel: ChunkKernel, tel, block: np.ndarray, first_chunk: int,
+    lo: int, hi: int, trace=None,
+) -> tuple[list, np.ndarray, np.ndarray, ChunkStats]:
+    """Encode rows ``[lo, hi)`` of ``block`` in one ``batch_encode`` span.
+
+    The one batch-encode shard, run by ``map_batch`` shards and by
+    process-pool workers; ``first_chunk`` is the stream index of the
+    block's first row.  A worker passes its shard context as ``trace``:
+    the span *is* that context, and the stage spans nest under it.
+    """
+    with tel.trace(trace or tel.current_trace()), tel.span(
+        "batch_encode", cat="chunk", trace=trace, first_chunk=first_chunk + lo,
+        chunks=hi - lo, values=(hi - lo) * block.shape[1],
+    ) as sp:
+        blobs, raws, pids, st = kernel.encode_batch(block[lo:hi])
+        sizes = list(map(len, blobs))
+        sp.set(
+            bytes_out=sum(sizes), chunk_bytes_out=sizes,
+            outliers=st.lossless, raw_chunks=st.raw_chunks,
+        )
+    return blobs, raws, pids, st
+
+
 def encode_chunks(
     backend,
     kernel: ChunkKernel,
@@ -280,24 +304,14 @@ def encode_chunks(
             ) as sp:
                 shards = [backend.encode_array(
                     kernel.quantizer, kernel.codec.pipeline.config,
-                    kernel.chunk_bytes, block,
+                    kernel.chunk_bytes, block, first_chunk,
                 )]
                 sp.set(bytes_out=sum(map(len, shards[0][0])))
         else:
-            def encode_rows(lo: int, hi: int):
-                with tel.span(
-                    "batch_encode", cat="chunk", first_chunk=first_chunk + lo,
-                    chunks=hi - lo, values=(hi - lo) * wpc,
-                ) as sp:
-                    blobs, raws, pids, st = kernel.encode_batch(block[lo:hi])
-                    sizes = list(map(len, blobs))
-                    sp.set(
-                        bytes_out=sum(sizes), chunk_bytes_out=sizes,
-                        outliers=st.lossless, raw_chunks=st.raw_chunks,
-                    )
-                return blobs, raws, pids, st
-
-            shards = backend.map_batch(encode_rows, n_full)
+            shards = backend.map_batch(
+                lambda lo, hi: encode_shard(kernel, tel, block, first_chunk, lo, hi),
+                n_full,
+            )
         shards.extend(encode_one(i) for i in range(n_full, plan.n_chunks))
     blobs: list = []
     raw_flags: list[bool] = []

@@ -26,6 +26,7 @@ formulation (golden-stream tested).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,19 @@ class ChunkStats:
 def _padded_words(n_values: int) -> int:
     """Word count after shuffle-alignment padding (multiple of 8)."""
     return ((n_values + 7) // 8) * 8
+
+
+@contextmanager
+def _decode_barrier(what: str):
+    """Re-raise a non-PFPL failure on hostile bytes (a numpy shape or
+    broadcast error, an index underflow) as
+    :class:`~repro.errors.PFPLIntegrityError` naming ``what``."""
+    try:
+        yield
+    except PFPLError:
+        raise
+    except (ValueError, TypeError, IndexError, KeyError, OverflowError) as exc:
+        raise PFPLIntegrityError(f"{what} failed to decode: {exc}") from exc
 
 
 def row_run(rows: np.ndarray) -> slice | None:
@@ -142,18 +156,9 @@ class ChunkKernel:
             n_lossless = self.quantizer.encode_into(float_slice, words[:n])
             sp.set(outliers=n_lossless)
         blob, raw, pid = self.codec.encode_chunk(words)
-        tel.add("chunks_encoded_total")
-        tel.add("values_encoded_total", n)
-        tel.add("outlier_values_total", n_lossless)
-        tel.add("chunk_bytes_in_total", float_slice.nbytes)
-        tel.add("chunk_bytes_out_total", len(blob))
-        if raw:
-            tel.add("raw_chunks_total")
-        elif self.codec.select:
-            tel.add("pipeline_selected_total",
-                    pipeline=PIPELINE_VARIANTS[pid])
-        return blob, raw, pid, ChunkStats(
-            total=n, lossless=n_lossless, raw_chunks=int(raw)
+        return blob, raw, pid, self._count_encoded(
+            n, n_lossless, float_slice.nbytes, len(blob),
+            np.array([raw], dtype=bool), np.array([pid]),
         )
 
     def decode_chunk(
@@ -173,15 +178,12 @@ class ChunkKernel:
         ``pipeline_id`` names the lossless variant the encoder selected
         for this chunk (always 0 for v1/v2 streams).
 
-        The kernel is the decode path's exception barrier: any failure
-        inside the lossless stages or the dequantizer on hostile bytes
-        (a numpy shape/broadcast error, an index underflow) is re-raised
-        as :class:`~repro.errors.PFPLIntegrityError`, so callers only
+        The kernel is the decode path's exception barrier: callers only
         ever see :class:`~repro.errors.PFPLError` subclasses.
         """
         n_words = _padded_words(n_values)
         tel = self.telemetry
-        try:
+        with _decode_barrier(f"chunk of {n_values} values"):
             words = self.codec.decode_chunk(blob, n_words, is_raw, pipeline_id)
             if out is None:
                 out = np.empty(n_values, dtype=self.layout.float_dtype)
@@ -193,12 +195,6 @@ class ChunkKernel:
             tel.add("values_decoded_total", n_values)
             if is_raw:
                 tel.add("raw_chunks_decoded_total")
-        except PFPLError:
-            raise
-        except (ValueError, TypeError, IndexError, KeyError, OverflowError) as exc:
-            raise PFPLIntegrityError(
-                f"chunk of {n_values} values failed to decode: {exc}"
-            ) from exc
         return out
 
     # -- chunk-major batch kernels -------------------------------------------
@@ -225,12 +221,23 @@ class ChunkKernel:
             n_lossless = self.quantizer.encode_batch_into(float_block, words)
             sp.set(outliers=n_lossless)
         blobs, raw_flags, pids = self.codec.encode_batch(words)
+        return blobs, raw_flags, pids, self._count_encoded(
+            n_chunks * n, n_lossless, float_block.nbytes,
+            sum(map(len, blobs)), raw_flags, pids,
+        )
+
+    def _count_encoded(
+        self, n_values: int, n_lossless: int, bytes_in: int, bytes_out: int,
+        raw_flags: np.ndarray, pids: np.ndarray,
+    ) -> ChunkStats:
+        """Record one encode call's counters; returns its stats."""
+        tel = self.telemetry
         n_raw = int(np.count_nonzero(raw_flags))
-        tel.add("chunks_encoded_total", n_chunks)
-        tel.add("values_encoded_total", n_chunks * n)
+        tel.add("chunks_encoded_total", len(raw_flags))
+        tel.add("values_encoded_total", n_values)
         tel.add("outlier_values_total", n_lossless)
-        tel.add("chunk_bytes_in_total", float_block.nbytes)
-        tel.add("chunk_bytes_out_total", sum(map(len, blobs)))
+        tel.add("chunk_bytes_in_total", bytes_in)
+        tel.add("chunk_bytes_out_total", bytes_out)
         if n_raw:
             tel.add("raw_chunks_total", n_raw)
         if self.codec.select:
@@ -239,9 +246,7 @@ class ChunkKernel:
                 if count:
                     tel.add("pipeline_selected_total", int(count),
                             pipeline=PIPELINE_VARIANTS[pid])
-        return blobs, raw_flags, pids, ChunkStats(
-            total=n_chunks * n, lossless=n_lossless, raw_chunks=n_raw,
-        )
+        return ChunkStats(total=n_values, lossless=n_lossless, raw_chunks=n_raw)
 
     def decode_batch(
         self,
@@ -265,7 +270,7 @@ class ChunkKernel:
         """
         n_chunks = len(starts)
         tel = self.telemetry
-        try:
+        with _decode_barrier(f"batch of {n_chunks} chunks"):
             words = self.codec.decode_batch(
                 stream, starts, sizes, n_words, pipeline_id
             )
@@ -276,12 +281,6 @@ class ChunkKernel:
                 self.quantizer.decode_batch_into(words, out)
             tel.add("chunks_decoded_total", n_chunks)
             tel.add("values_decoded_total", n_chunks * n_words)
-        except PFPLError:
-            raise
-        except (ValueError, TypeError, IndexError, KeyError, OverflowError) as exc:
-            raise PFPLIntegrityError(
-                f"batch of {n_chunks} chunks failed to decode: {exc}"
-            ) from exc
         return out
 
     def decode_rows(

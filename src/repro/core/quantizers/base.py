@@ -147,9 +147,7 @@ class Quantizer(ABC):
             raise PFPLUsageError(
                 f"output slice holds {out.shape} words, expected ({v.size},)"
             )
-        words, n_lossless = self._encode_words(v)
-        out[...] = words
-        return n_lossless
+        return self._encode_flat(v, out)
 
     def decode_into(self, words: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Decode one chunk's words directly into its output slice."""
@@ -183,11 +181,7 @@ class Quantizer(ABC):
             raise PFPLUsageError(
                 f"output block is {out.shape}, expected {v.shape}"
             )
-        if out.flags.c_contiguous:
-            return self._encode_words_into(v.reshape(-1), out.reshape(-1))
-        words, n_lossless = self._encode_words(v.reshape(-1))
-        out[...] = words.reshape(out.shape)
-        return n_lossless
+        return self._encode_flat(v.reshape(-1), out)
 
     def decode_batch_into(self, words: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Decode a ``(n_chunks, n)`` word block directly into ``out``.
@@ -213,6 +207,17 @@ class Quantizer(ABC):
         out = np.empty(w.size, dtype=self.layout.float_dtype)
         self._decode_words_into(w, out)
         return out
+
+    def _encode_flat(self, v: np.ndarray, out: np.ndarray) -> int:
+        """The mirror of :meth:`_decode_flat`: quantize flat ``v`` into
+        ``out`` in place when it is a contiguous, non-overlapping word
+        buffer, else via a copy; returns the lossless count."""
+        if (out.flags.c_contiguous and out.dtype == self.layout.uint_dtype
+                and not np.may_share_memory(v, out)):
+            return self._encode_words_into(v, out.reshape(-1))
+        words, n_lossless = self._encode_words(v)
+        out[...] = words.reshape(out.shape)
+        return n_lossless
 
     def _decode_flat(self, w: np.ndarray, out: np.ndarray) -> None:
         """Decode flat words ``w`` into ``out`` (any layout, same size).

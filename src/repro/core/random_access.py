@@ -32,6 +32,7 @@ import io
 import os
 import threading
 import zlib
+from dataclasses import replace
 from typing import Iterator
 
 import numpy as np
@@ -49,7 +50,7 @@ from .compressor import InlineBackend
 from .floatbits import layout_for
 from .header import HEADER_BYTES, Header
 from .kernel import ChunkKernel
-from .lossless.pipeline import PipelineConfig, variant_config
+from .lossless.pipeline import PipelineConfig
 from .quantizers import make_quantizer
 
 __all__ = ["StreamDecoder", "decompress_range", "chunk_count", "decompress_chunk"]
@@ -150,6 +151,51 @@ def _kernel_for_header(header: Header, backend, telemetry=NULL_TELEMETRY) -> Chu
     # the chunk-size ablation writes other sizes).
     chunk_bytes = header.words_per_chunk * layout.uint_dtype.itemsize
     return backend.make_kernel(quantizer, config, chunk_bytes, telemetry=telemetry)
+
+
+def _verify_chunk(blob, crc, index: int) -> None:
+    """Raise unless chunk ``index``'s bytes ``blob`` match its checksum ``crc``."""
+    if zlib.crc32(blob) != int(crc):
+        raise PFPLIntegrityError(f"chunk {index} checksum mismatch (stream corrupted)")
+
+
+def decode_shard(
+    kernel: ChunkKernel, tel, payload: np.ndarray, starts: np.ndarray,
+    sizes: np.ndarray, pids: np.ndarray, crcs, rows: np.ndarray,
+    block: np.ndarray, first: int, trace=None,
+) -> None:
+    """Checksum and decode rows ``rows``, one ``batch_decode`` per pipeline id.
+
+    The one batch-decode shard, run by the stream decoder and by
+    process-pool workers.  Entry ``i`` of ``starts`` (offsets into the
+    uint8 ``payload``), ``sizes``, ``pids`` and ``crcs`` (``None``
+    without a checksum footer) describes chunk ``first + i``, which
+    decodes into ``block[i]``; ``rows`` are stream indices.  A worker
+    passes its shard context as ``trace``: the first span *is* it, later
+    ones are its siblings, and the stage spans nest under each.
+    """
+    rel = rows - first
+    row_pids = pids[rel]
+    # bincount, not np.unique: np.unique's first call imports numpy.ma,
+    # about 1.4 MiB more resident memory in every process-pool worker.
+    for seq, pid in enumerate(np.flatnonzero(np.bincount(row_pids))):
+        sel = rel[row_pids == pid]
+        ctx = trace
+        if trace is not None and seq:
+            ctx = replace(trace.child(seq), parent_id=trace.parent_id)
+        with tel.trace(ctx or tel.current_trace()), tel.span(
+            "batch_decode", cat="chunk", trace=ctx, chunks=int(sel.size),
+            bytes_in=int(sizes[sel].sum(dtype=np.int64)),
+        ):
+            if crcs is not None:
+                for i in sel:
+                    _verify_chunk(
+                        payload[starts[i]:starts[i] + sizes[i]], crcs[i], first + int(i)
+                    )
+            kernel.decode_rows(
+                payload, starts[sel], sizes[sel], sel, block.shape[1], block,
+                pipeline_id=int(pid),
+            )
 
 
 class StreamDecoder:
@@ -269,46 +315,34 @@ class StreamDecoder:
         tel.add("fetches_total")
         return view, base
 
-    def _check_crcs(self, view: memoryview, base: int, indices) -> None:
-        """Verify chunks ``indices`` (bytes in ``view``, from stream offset
-        ``base``) against the checksum footer, if the stream has one."""
-        crcs = self._chunk_crcs
-        if crcs is None:
-            return
-        for index in indices:
-            lo = int(self._starts[index]) - base
-            if zlib.crc32(view[lo:lo + int(self._sizes[index])]) != int(crcs[index]):
-                raise PFPLIntegrityError(
-                    f"chunk {int(index)} checksum mismatch (stream corrupted)"
-                )
-
     def _decode_one(self, index: int, view: memoryview, base: int, out) -> np.ndarray:
         """The per-chunk kernel on chunk ``index``, whose bytes ``view`` holds."""
         size = int(self._sizes[index])
         lo = int(self._starts[index]) - base
+        blob = view[lo:lo + size]
         tel = self._telemetry
         with tel.chunk(index), tel.span("chunk_decode", cat="chunk", bytes_in=size):
-            self._check_crcs(view, base, (index,))
+            if self._chunk_crcs is not None:
+                _verify_chunk(blob, self._chunk_crcs[index], index)
             return self._kernel.decode_chunk(
-                view[lo:lo + size], self.chunk_values(index),
-                bool(self._raw_flags[index]), out=out,
-                pipeline_id=int(self._pids[index]),
+                blob, self.chunk_values(index), bool(self._raw_flags[index]),
+                out=out, pipeline_id=int(self._pids[index]),
             )
 
     def _decode_run(self, lo: int, hi: int, start: int, out: np.ndarray, batch: bool) -> None:
         """Decode chunks ``[lo, hi)``, one shard, after one source fetch.
 
         ``out`` holds the requested values, from value ``start`` on.  With
-        ``batch`` the non-raw full-size chunks decode as batch rows, one
-        call per pipeline id (on an ``offload_capable`` backend, by its
-        workers, which check their rows' checksums); raw chunks and the
+        ``batch`` the non-raw full-size chunks decode as batch rows in one
+        :func:`decode_shard` call (on an ``offload_capable`` backend, one
+        ``decode_array`` call whose workers run it); raw chunks and the
         ragged tail (every chunk, without ``batch``) take the per-chunk
         kernel.  A shard inside the requested values decodes in place; one
         holding a partly requested edge chunk decodes into a shard-sized
         block, then copies the requested values out.
         """
         wpc = self._plan.words_per_chunk
-        kernel, tel = self._kernel, self._telemetry
+        tel = self._telemetry
         v_lo, v_hi = lo * wpc, min(hi * wpc, self.header.count)
         end = start + out.size
         inside = start <= v_lo and v_hi <= end
@@ -318,30 +352,18 @@ class StreamDecoder:
         full = (index < self._n_full) & ~self._raw_flags[lo:hi] & batch
         rows = index[full]
         if rows.size:
-            block = dest[:(int(rows[-1]) + 1 - lo) * wpc].reshape(-1, wpc)
-            in_block = slice(lo, lo + block.shape[0])
-        for pid in np.unique(self._pids[rows]):
-            sel = rows[self._pids[rows] == pid]
-            nbytes = int(self._sizes[sel].sum(dtype=np.int64))
+            args = (
+                np.frombuffer(view, dtype=np.uint8), self._starts[lo:hi] - base,
+                self._sizes[lo:hi], self._pids[lo:hi],
+                None if self._chunk_crcs is None else self._chunk_crcs[lo:hi],
+                rows, dest[:(int(rows[-1]) + 1 - lo) * wpc].reshape(-1, wpc), lo,
+            )
             if getattr(self._backend, "offload_capable", False):
-                with tel.span("offload_decode", cat="scheduler",
-                              chunks=int(sel.size), bytes_in=nbytes):
-                    self._backend.decode_array(
-                        kernel.quantizer,
-                        variant_config(kernel.codec.pipeline.config, int(pid)),
-                        kernel.chunk_bytes, view, self._starts[in_block] - base,
-                        self._sizes[in_block], sel - lo, wpc,
-                        None if self._chunk_crcs is None else self._chunk_crcs[in_block],
-                        block,
-                    )
-                continue
-            with tel.span("batch_decode", cat="chunk", chunks=int(sel.size),
-                          bytes_in=nbytes):
-                self._check_crcs(view, base, sel)
-                kernel.decode_rows(
-                    np.frombuffer(view, dtype=np.uint8), self._starts[sel] - base,
-                    self._sizes[sel], sel - lo, wpc, block, pipeline_id=int(pid),
-                )
+                with tel.span("offload_decode", cat="scheduler", chunks=int(rows.size),
+                              bytes_in=int(self._sizes[rows].sum(dtype=np.int64))):
+                    self._backend.decode_array(self._kernel, *args)
+            else:
+                decode_shard(self._kernel, tel, *args)
         for i in index[~full]:
             a = (int(i) - lo) * wpc
             self._decode_one(int(i), view, base, dest[a:a + self.chunk_values(int(i))])

@@ -105,9 +105,11 @@ class Backend:
 
         ``costs`` (optional per-item cost estimates) lets a backend pick
         its execution order for load balance -- output placement is by
-        index, so the produced bytes never depend on it.
+        index, so the produced bytes never depend on it.  The default is
+        the serial in-order loop.
         """
-        raise NotImplementedError
+        self.last_order = list(range(len(items)))
+        return [fn(item) for item in items]
 
     def _workers(self) -> int:
         """Workers a batch is split across (1 for the single-thread backends)."""
@@ -144,7 +146,8 @@ class Backend:
         return self.map_chunks(lambda r: fn(*r), shards, costs=shard_costs)
 
     def prefix_sum(self, sizes: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """Exclusive scan of ``sizes``: each chunk's offset (plain running sum)."""
+        return exclusive_scan_reference(np.asarray(sizes, dtype=np.int64))
 
     def assemble(self, prefix: bytes, blobs: Sequence[bytes]) -> bytes:
         """Concatenate ``prefix`` + chunk blobs into one preallocated buffer.
@@ -219,13 +222,6 @@ class SerialBackend(Backend):
     def __init__(self, device: DeviceSpec = THREADRIPPER_2950X, telemetry=NULL_TELEMETRY):
         self.device = device
         self.telemetry = telemetry
-
-    def map_chunks(self, fn: Callable, items: Sequence, costs=None) -> list:
-        self.last_order = list(range(len(items)))
-        return [fn(item) for item in items]
-
-    def prefix_sum(self, sizes: np.ndarray) -> np.ndarray:
-        return exclusive_scan_reference(np.asarray(sizes, dtype=np.int64))
 
 
 def _shutdown_pool(pool: ThreadPoolExecutor) -> None:

@@ -15,8 +15,9 @@ moving through ``multiprocessing.shared_memory``:
   and the parent hands the compressor zero-copy ``memoryview`` slices
   over the same mapping -- the only copy is the backend's own
   ``assemble`` scatter into the output buffer;
-- decode workers write reconstructed rows straight into a shared output
-  matrix, which the parent scatters into the caller's array in one
+- a decode copies the fetched payload into a shared arena once per
+  read; workers write reconstructed rows straight into a shared output
+  block, which the parent copies into the caller's array in one
   vectorized copy.
 
 Closures cannot cross a process boundary, so this backend advertises
@@ -24,8 +25,12 @@ Closures cannot cross a process boundary, so this backend advertises
 picklable kernel spec (quantizer, pipeline config, chunk bytes) via
 :meth:`~ProcessPoolBackend.encode_array`/:meth:`~ProcessPoolBackend.decode_array`,
 and each worker rebuilds its fused kernel locally (construction is a few
-microseconds; the arrays never travel).  Generic ``map_chunks`` closures
-(the assemble scatter, ragged-tail chunks) run inline in the parent.
+microseconds; the arrays never travel) and runs the same shard function
+in-process ``map_batch`` shards run:
+:func:`~repro.core.compressor.encode_shard` or
+:func:`~repro.core.random_access.decode_shard`.  Generic ``map_chunks``
+closures (the assemble scatter, ragged-tail chunks) run inline in the
+parent.
 
 The pool and its arenas are *persistent*: created lazily on first
 offload, reused across calls, torn down by :meth:`~ProcessPoolBackend.close`
@@ -40,9 +45,9 @@ each worker records spans/counters into a local
 the parent merges it onto a ``proc-<id>`` track (rendered as its own
 process group in the Chrome trace).
 
-Byte-identity: the workers run the very same batched kernels as every
-other backend, so output is bit-for-bit identical -- locked in by the
-golden and property suites.
+Byte-identity: the workers run the very same shard code as every other
+backend, so output is bit-for-bit identical -- locked in by the golden
+and property suites.
 """
 
 from __future__ import annotations
@@ -50,22 +55,22 @@ from __future__ import annotations
 import os
 import threading
 import weakref
-import zlib
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_all_start_methods, get_context
 from multiprocessing import resource_tracker, shared_memory
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from ..core.compressor import encode_shard
 from ..core.kernel import ChunkKernel, ChunkStats, row_run
 from ..core.lossless.pipeline import LosslessPipeline, PipelineConfig
 from ..core.quantizers import Quantizer
-from ..errors import PFPLIntegrityError, PFPLUsageError
+from ..core.random_access import decode_shard
+from ..errors import PFPLUsageError
 from ..telemetry import NULL_TELEMETRY, Telemetry, TraceContext
 from .backend import Backend
 from ..core.scratch import scratch_bytes_total
-from .prefix_sum import exclusive_scan_reference
 from .spec import THREADRIPPER_2950X, DeviceSpec
 
 __all__ = ["ProcessPoolBackend"]
@@ -157,30 +162,22 @@ def _shard_ctx(trace) -> TraceContext | None:
 
 
 def _encode_shard(task: tuple) -> tuple:
-    """Encode rows ``[lo, hi)`` of the shared input block.
+    """Run :func:`~repro.core.compressor.encode_shard` on rows ``[lo, hi)``
+    of the shared input block.
 
     Blobs are written back-to-back into this shard's reserved region of
     the encode arena (``lo * raw_bytes`` onward); only their sizes (and
     flags/stats/telemetry) return through the result pickle.
     """
     (quantizer, config, chunk_bytes, in_name, shape, dtype_str,
-     lo, hi, enc_name, raw_bytes, trace) = task
+     first_chunk, lo, hi, enc_name, raw_bytes, trace) = task
     segs = _attach((in_name, enc_name))
     block = np.ndarray(tuple(shape), dtype=np.dtype(dtype_str), buffer=segs[in_name].buf)
     tel = Telemetry() if trace else NULL_TELEMETRY
-    ctx = _shard_ctx(trace)
     kernel = _build_kernel(quantizer, config, chunk_bytes, tel)
-    with tel.trace(ctx):
-        with tel.span(
-            "batch_encode", cat="chunk", trace=ctx,
-            first_chunk=lo, chunks=hi - lo,
-            values=(hi - lo) * block.shape[1],
-        ) as sp:
-            blobs, raws, pids, stats = kernel.encode_batch(block[lo:hi])
-            sp.set(
-                bytes_out=sum(map(len, blobs)),
-                outliers=stats.lossless, raw_chunks=stats.raw_chunks,
-            )
+    blobs, raws, pids, stats = encode_shard(
+        kernel, tel, block, first_chunk, lo, hi, trace=_shard_ctx(trace)
+    )
     out = segs[enc_name].buf
     off = lo * raw_bytes
     end = hi * raw_bytes
@@ -198,37 +195,19 @@ def _encode_shard(task: tuple) -> tuple:
 
 
 def _decode_shard(task: tuple) -> tuple:
-    """Decode one shard of non-raw full-size chunks into the shared output.
-
-    ``rows`` are absolute chunk indices into the ``(n_full, wpc)`` output
-    matrix; each decoded row lands directly at its final position (a run
-    of consecutive rows is decoded in place), so the parent's only copy
-    is the scatter into the caller's array.
-    """
-    (quantizer, config, chunk_bytes, stream_name, stream_len, out_name,
-     n_full, wpc, dtype_str, rows, starts, sizes, crcs, trace) = task
-    segs = _attach((stream_name, out_name))
-    payload = np.ndarray((stream_len,), dtype=np.uint8, buffer=segs[stream_name].buf)
-    if crcs is not None:
-        for i, index in enumerate(rows):
-            blo = int(starts[i])
-            blob = payload[blo:blo + int(sizes[i])]
-            if zlib.crc32(blob) != int(crcs[i]):
-                raise PFPLIntegrityError(
-                    f"chunk {int(index)} checksum mismatch (stream corrupted)"
-                )
+    """Run :func:`~repro.core.random_access.decode_shard` on ``rows``,
+    from the shared payload into the shared output block."""
+    (quantizer, config, chunk_bytes, payload_name, payload_len, out_name,
+     shape, dtype_str, starts, sizes, pids, crcs, rows, first, trace) = task
+    segs = _attach((payload_name, out_name))
+    payload = np.ndarray((payload_len,), dtype=np.uint8, buffer=segs[payload_name].buf)
+    block = np.ndarray(tuple(shape), dtype=np.dtype(dtype_str), buffer=segs[out_name].buf)
     tel = Telemetry() if trace else NULL_TELEMETRY
-    ctx = _shard_ctx(trace)
     kernel = _build_kernel(quantizer, config, chunk_bytes, tel)
-    out_mat = np.ndarray(
-        (n_full, wpc), dtype=np.dtype(dtype_str), buffer=segs[out_name].buf
+    decode_shard(
+        kernel, tel, payload, starts, sizes, pids, crcs, rows, block, first,
+        trace=_shard_ctx(trace),
     )
-    with tel.trace(ctx):
-        with tel.span(
-            "batch_decode", cat="chunk", trace=ctx, chunks=len(rows),
-            bytes_in=int(np.asarray(sizes, dtype=np.int64).sum()),
-        ):
-            kernel.decode_rows(payload, starts, sizes, rows, wpc, out_mat)
     snap = tel.snapshot() if trace else None
     return snap, _worker_id
 
@@ -382,20 +361,6 @@ class ProcessPoolBackend(Backend):
 
     # -- scheduling ----------------------------------------------------------
 
-    def map_chunks(self, fn: Callable, items: Sequence, costs=None) -> list:
-        """Generic closures run inline: they cannot cross processes.
-
-        Only the bulk batched kernels offload (via
-        :meth:`encode_array`/:meth:`decode_array`); what remains --
-        assemble scatter, ragged-tail chunks, raw rows -- is cheap
-        framing work the parent handles serially.
-        """
-        self.last_order = list(range(len(items)))
-        return [fn(item) for item in items]
-
-    def prefix_sum(self, sizes: np.ndarray) -> np.ndarray:
-        return exclusive_scan_reference(np.asarray(sizes, dtype=np.int64))
-
     def _workers(self) -> int:
         return self.n_workers
 
@@ -467,14 +432,17 @@ class ProcessPoolBackend(Backend):
         config: PipelineConfig,
         chunk_bytes: int,
         block: np.ndarray,
+        first_chunk: int = 0,
     ) -> tuple[list, list[bool], list[int], ChunkStats]:
         """Encode a full ``(n_chunks, words_per_chunk)`` block across workers.
 
-        Returns ``(blobs, raw_flags, pipeline_ids, stats)`` exactly like
-        mapping :meth:`ChunkKernel.encode_batch` over row shards; the
-        blobs are zero-copy ``memoryview`` slices over the shared encode
-        arena (valid until the next offload grows it -- the compressor
-        consumes them within the same ``compress`` call).
+        Each worker runs :func:`~repro.core.compressor.encode_shard` on
+        its rows (``first_chunk`` is the stream index of the block's first
+        row).  Returns ``(blobs, raw_flags, pipeline_ids, stats)`` exactly
+        like mapping it over row shards in process; the blobs are
+        zero-copy ``memoryview`` slices over the shared encode arena (valid
+        until the next offload grows it -- the compressor consumes them
+        within the same ``compress`` call).
         """
         n_rows, wpc = block.shape
         if n_rows == 0:
@@ -501,7 +469,7 @@ class ProcessPoolBackend(Backend):
             futures = [
                 pool.submit(_encode_shard, (
                     quantizer, config, chunk_bytes, shm_in.name,
-                    tuple(block.shape), block.dtype.str, lo, hi,
+                    tuple(block.shape), block.dtype.str, first_chunk, lo, hi,
                     shm_enc.name, raw_bytes, self._shard_trace(trace, base, lo),
                 ))
                 for lo, hi in shards
@@ -531,61 +499,44 @@ class ProcessPoolBackend(Backend):
             return blobs, raw_flags, pids, stats  # pfpl: allow[buffer-escape]
 
     def decode_array(
-        self,
-        quantizer: Quantizer,
-        config: PipelineConfig,
-        chunk_bytes: int,
-        stream: bytes,
-        starts: np.ndarray,
-        sizes: np.ndarray,
-        rows: np.ndarray,
-        wpc: int,
-        chunk_crcs,
-        out_block: np.ndarray,
+        self, kernel: ChunkKernel, payload: np.ndarray, starts: np.ndarray,
+        sizes: np.ndarray, pids: np.ndarray, crcs, rows: np.ndarray,
+        block: np.ndarray, first: int,
     ) -> None:
-        """Decode the non-raw full-size chunks listed in ``rows``.
+        """:func:`~repro.core.random_access.decode_shard` across workers.
 
-        ``starts``/``sizes`` index the whole stream; workers verify the
-        per-chunk CRCs (when present), decode their shard, and write the
-        rows into a shared output matrix that is scattered into
-        ``out_block`` with one vectorized copy.
+        Takes ``decode_shard``'s arguments (the kernel travels as its
+        picklable spec).  The payload is copied into shared memory once;
+        each worker decodes a cost-balanced share of ``rows``, every
+        pipeline id among them, into a shared output block whose decoded
+        rows are then copied into ``block``.
         """
-        if rows.size == 0:
-            return
-        n_full, _ = out_block.shape
         tel = self.telemetry
         trace = bool(tel.enabled)
         base = tel.current_trace()
+        rel = rows - first
         with self._lock:
             pool = self._ensure_pool()
-            shm_stream = self._arena("decode.in", len(stream))
-            shm_out = self._arena("decode.out", out_block.nbytes)
-            np.ndarray((len(stream),), dtype=np.uint8, buffer=shm_stream.buf)[:] = (
-                np.frombuffer(stream, dtype=np.uint8)
-            )
-            shards = self.batch_shards(int(rows.size), costs=sizes[rows])
+            shm_in = self._arena("decode.in", payload.nbytes)
+            shm_out = self._arena("decode.out", block.nbytes)
+            np.ndarray(payload.shape, dtype=np.uint8, buffer=shm_in.buf)[:] = payload
+            shards = self.batch_shards(int(rows.size), costs=sizes[rel])
             t_submit = tel.now()
-            futures = []
-            for lo, hi in shards:
-                sel = rows[lo:hi]
-                crcs = (
-                    np.asarray(chunk_crcs)[sel] if chunk_crcs is not None else None
-                )
-                futures.append(pool.submit(_decode_shard, (
-                    quantizer, config, chunk_bytes, shm_stream.name, len(stream),
-                    shm_out.name, n_full, wpc, out_block.dtype.str,
-                    sel, starts[sel], sizes[sel], crcs,
-                    self._shard_trace(trace, base, lo),
-                )))
-            for fut, (_lo, _hi) in zip(futures, shards):
-                snap, wid = fut.result()
-                self._merge_worker(snap, wid, t_submit)
+            futures = [
+                pool.submit(_decode_shard, (
+                    kernel.quantizer, kernel.codec.pipeline.config,
+                    kernel.chunk_bytes, shm_in.name, payload.size, shm_out.name,
+                    block.shape, block.dtype.str, starts, sizes, pids, crcs,
+                    rows[lo:hi], first, self._shard_trace(trace, base, lo),
+                ))
+                for lo, hi in shards
+            ]
+            for fut in futures:
+                self._merge_worker(*fut.result(), t_submit)
             self.last_order = list(range(len(shards)))
-            out_mat = np.ndarray(
-                out_block.shape, dtype=out_block.dtype, buffer=shm_out.buf
-            )
-            run = row_run(rows)
+            decoded = np.ndarray(block.shape, dtype=block.dtype, buffer=shm_out.buf)
+            run = row_run(rel)
             if run is not None:
-                out_block[run] = out_mat[run]
+                block[run] = decoded[run]
             else:
-                out_block[rows] = out_mat[rows]
+                block[rel] = decoded[rel]

@@ -6,15 +6,20 @@ the pool/arena plumbing (persistent workers, shared-memory segments,
 ``warm()``/``close()``) must not leak across calls or teardowns.
 """
 
+import io
+
 import numpy as np
 import pytest
 
 from repro.core import compress, decompress
+from repro.core.chunking import ChunkCodec
 from repro.core.header import HEADER_BYTES, Header
+from repro.core.random_access import StreamDecoder
 from repro.device import get_backend
 from repro.device.backend import ProcessPoolBackend, SerialBackend
 from repro.errors import PFPLIntegrityError, PFPLUsageError
-from repro.telemetry import Telemetry
+from repro.io import PFPLWriter
+from repro.telemetry import Telemetry, TraceContext
 
 
 @pytest.fixture(scope="module")
@@ -159,3 +164,88 @@ class TestWorkerTelemetry:
         labels = {k.split('worker="')[1].rstrip('"}')
                   for k in tel.counters() if k.startswith("worker_items_total")}
         assert labels and labels <= {"0", "1"}, labels
+
+
+W = 4096  # float32 values per 16 kB chunk
+
+
+class TestSharedShardCode:
+    """Workers run the in-process shard functions, one offload per read."""
+
+    @staticmethod
+    def _two_ids() -> bytes:
+        """A v3 stream of 20 smooth chunks, then 20 sparse ones that
+        selection stores under another pipeline id."""
+        data = _walk(np.float32, n=40 * W, seed=5)
+        sparse = np.zeros(20 * W, dtype=np.float32)
+        spikes = np.random.default_rng(5).choice(sparse.size, sparse.size // 200,
+                                                 replace=False)
+        sparse[spikes] = 1.0
+        data[20 * W:] = sparse
+        return compress(data, "abs", 1e-3, format_version=3)
+
+    def test_v3_window_is_one_offload_and_one_payload_copy(self, pool, monkeypatch):
+        stream = self._two_ids()
+        head = Header.unpack(stream)
+        table = np.frombuffer(stream[HEADER_BYTES:head.payload_offset], dtype="<u4")
+        sizes, raw, pids, _ = ChunkCodec.parse_size_table(table, True)
+        # 35 rows: both workers get a share, one of them both ids.
+        start, count = 3 * W + 300, 34 * W
+        first, last = start // W, (start + count - 1) // W + 1
+        assert len(set(pids[first:last][~raw[first:last]].tolist())) >= 2
+
+        calls, copies = [], []
+        decode_array, arena = pool.decode_array, pool._arena
+
+        def counting_decode(*args):
+            calls.append(args)
+            return decode_array(*args)
+
+        def counting_arena(role, nbytes):
+            if role == "decode.in":
+                copies.append(nbytes)
+            return arena(role, nbytes)
+
+        monkeypatch.setattr(pool, "decode_array", counting_decode)
+        monkeypatch.setattr(pool, "_arena", counting_arena)
+        got = StreamDecoder(stream, pool).decode_range(start, count)
+        want = StreamDecoder(stream, SerialBackend()).decode_range(start, count)
+        assert len(calls) == 1
+        assert copies == [int(sizes[first:last].sum())]
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_worker_decode_spans_have_unique_ids(self):
+        """A worker shard holding two pipeline ids records two sibling
+        ``batch_decode`` spans, not two spans with one id."""
+        tel = Telemetry()
+        ctx = TraceContext.mint()
+        with ProcessPoolBackend(n_workers=2, telemetry=tel) as backend, tel.trace(ctx):
+            decompress(self._two_ids(), backend=backend)
+        spans = [s for s in tel.spans if s.name == "batch_decode"]
+        assert len(spans) == 3  # two shards, the second holding both ids
+        assert len({s.span_id for s in spans}) == 3
+        assert {s.parent_id for s in spans} == {ctx.span_id}
+
+    def test_writer_worker_spans_match_in_process_shards(self):
+        """A second append's worker ``batch_encode`` spans carry the
+        stream-relative ``first_chunk`` and the per-chunk
+        ``chunk_bytes_out`` an in-process shard records."""
+        data = _walk(np.float32, n=31 * W, seed=6)
+        cut = 10 * W + 100  # the second append first fills chunk 10
+
+        def shard_args(backend, tel):
+            with PFPLWriter(io.BytesIO(), "abs", 1e-3, backend=backend,
+                            telemetry=tel) as writer:
+                writer.append(data[:cut])
+                writer.append(data[cut:])
+            return [
+                {k: v for k, v in s.args.items() if k != "track"}
+                for s in tel.spans if s.name == "batch_encode"
+            ]
+
+        serial = shard_args(SerialBackend(), Telemetry())
+        tel = Telemetry()
+        with ProcessPoolBackend(n_workers=2, telemetry=tel) as backend:
+            workers = shard_args(backend, tel)
+        assert [a["first_chunk"] for a in serial] == [0, 11]
+        assert workers == serial
