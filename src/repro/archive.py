@@ -240,7 +240,7 @@ class PFPLArchiveReader:
         return flat.reshape(m.shape)
 
     def iter_chunks(self, name: str):
-        """Stream one member's values chunk by chunk (bounded memory)."""
+        """Stream one member's values chunk by chunk, one window resident."""
         return self.open(name).iter_chunks()
 
     def __contains__(self, name: str) -> bool:

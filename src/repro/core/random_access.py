@@ -380,9 +380,25 @@ class StreamDecoder:
         return self._decode_one(index, view, base, out)
 
     def iter_chunks(self) -> Iterator[np.ndarray]:
-        """Yield every chunk's values in order, one chunk resident at a time."""
-        for index in range(self._plan.n_chunks):
-            yield self.decode_chunk(index)
+        """Yield every chunk's values in order, one window resident at a time.
+
+        The stream decodes in chunk-aligned windows of the backend's
+        ``batch_rows`` chunks (1 MiB of float32 at 16 kB chunks), each one
+        :meth:`decode_range` into a fresh array, so a scan costs what
+        ``decode_all`` does, one source read per shard.  Every yielded
+        chunk is a view that keeps its window alive: chunks a caller keeps
+        stay valid after the iterator advances, and while the next window
+        decodes, the previous one stays resident only if the caller still
+        holds one of its chunks.
+        """
+        wpc = self._plan.words_per_chunk
+        step = self._backend.batch_rows * wpc
+        count = self.header.count
+        for start in range(0, count, step):
+            window = self.decode_range(start, min(step, count - start))
+            for lo in range(0, window.size, wpc):
+                yield window[lo:lo + wpc]
+            del window
 
     def decode_range(self, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
         """Reconstruct ``count`` values beginning at index ``start``.

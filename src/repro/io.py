@@ -18,7 +18,9 @@ quantized (Section III-A), so the writer requires an explicit
 with two bounded reads and serves windows, single chunks, or an
 :meth:`~PFPLReader.iter_chunks` sweep by seeking to **only the bytes of
 the chunks touched** -- it never materializes the whole stream or the
-whole array.
+whole array.  A sweep decodes windows of the backend's ``batch_rows``
+chunks, so one window is resident (1 MiB of float32 at 16 kB chunks);
+each yielded chunk is a view that keeps its window alive.
 """
 
 from __future__ import annotations
@@ -318,7 +320,12 @@ class PFPLReader:
         return self._dec.decode_chunk(index)
 
     def iter_chunks(self) -> Iterator[np.ndarray]:
-        """Stream the array chunk by chunk; one chunk resident at a time."""
+        """Stream the array chunk by chunk; one window resident at a time.
+
+        Windows of the backend's ``batch_rows`` chunks (1 MiB of float32
+        at 16 kB chunks) decode as one read each; every yielded chunk is a
+        view that keeps its window alive.
+        """
         return self._dec.iter_chunks()
 
     def __iter__(self) -> Iterator[np.ndarray]:

@@ -155,8 +155,10 @@ class PFPLService:
         telemetry: Telemetry | None = None,
     ):
         self.config = config or ServiceConfig()
-        #: The service *is* an ops surface, so telemetry defaults to live.
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        #: The service *is* an ops surface, so telemetry defaults to live,
+        #: but keeps no global span list: ``/metrics`` reads counters and
+        #: histograms, ``/debug/trace`` the bounded flight recorder.
+        self.telemetry = telemetry if telemetry is not None else Telemetry(max_spans=0)
         self.backend = backend if backend is not None else _build_backend(self.config)
         self._jobs = ThreadPoolExecutor(
             max_workers=self.config.job_threads, thread_name_prefix="pfpl-serve"

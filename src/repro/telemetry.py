@@ -370,7 +370,9 @@ class Telemetry:
     max_spans:
         Safety cap on retained span records (counters keep aggregating
         past it).  Spans beyond the cap are counted in
-        ``pfpl_spans_dropped_total`` rather than silently lost.
+        ``pfpl_spans_dropped_total`` rather than silently lost.  ``0``
+        keeps no global span list at all (nothing counts as dropped):
+        counters, histograms and the flight recorder still record.
     flight_traces:
         Completed request traces the flight-recorder ring retains.
         Trace-tagged spans are buffered per trace *independently* of
@@ -525,13 +527,14 @@ class Telemetry:
     def _retain_locked(self, rec: SpanRecord) -> None:
         """File one finished span: global list + its trace's flight buffer.
 
-        The global list saturates at ``max_spans`` (drops counted); the
+        The global list saturates at a positive ``max_spans`` (drops
+        counted); a zero cap keeps no global list and drops nothing.  The
         per-trace buffer is independent, so request traces survive
         global pressure -- the flight-recorder guarantee.
         """
         if len(self.spans) < self.max_spans:
             self.spans.append(rec)
-        else:
+        elif self.max_spans > 0:
             self._dropped += 1
         if rec.trace_id is None:
             return

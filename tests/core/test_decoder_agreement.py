@@ -15,6 +15,7 @@ from __future__ import annotations
 import io
 import os
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ import pytest
 from repro.core import compress, decompress
 from repro.core.chunking import ChunkCodec
 from repro.core.header import Header
+from repro.core.kernel import ChunkKernel
 from repro.core.random_access import StreamDecoder
 from repro.device.backend import (
     GpuSimBackend,
@@ -225,3 +227,79 @@ def test_window_memory_is_out_plus_one_shard(tmp_path):
     assert one_shard <= 4 * shard_bytes
     assert in_place <= one_shard + slack
     assert edges <= one_shard + shard_bytes + slack
+
+
+@pytest.mark.parametrize("batch_rows", [16, 64])
+@pytest.mark.parametrize("backend_name", ["serial", "threaded", "procpool", "gpu-sim"])
+def test_file_scan_reads_once_per_window_shard(
+        backends, stream_files, monkeypatch, backend_name, batch_rows):
+    """A full ``iter_chunks`` decodes windows of ``batch_rows`` chunks, each
+    after one read per shard: ``ceil(n_chunks / batch_rows)`` reads on
+    serial and procpool, one per shard on threaded (which splits a window
+    of 32+ rows across its two workers), and one per chunk on the
+    simulated GPU, which keeps its per-chunk map.  On the batch backends
+    the per-chunk kernel runs only for the raw chunk and the ragged tail.
+    Every chunk is kept until the scan ends, so a window buffer reused
+    across the 16-row windows would fail the bit comparison."""
+    backend = backends[backend_name]
+    monkeypatch.setattr(backend, "batch_rows", batch_rows)
+    per_chunk = []
+    real = ChunkKernel.decode_chunk
+
+    def decode_chunk(kernel, blob, n_values, is_raw, *args, **kwargs):
+        per_chunk.append((n_values, is_raw))
+        return real(kernel, blob, n_values, is_raw, *args, **kwargs)
+
+    monkeypatch.setattr(ChunkKernel, "decode_chunk", decode_chunk)
+    tel = Telemetry()
+    with open(stream_files["v1"], "rb") as fh:
+        dec = StreamDecoder(fh, backend, telemetry=tel)
+        reads = _CountingReads(monkeypatch)
+        assert _same_bits(np.concatenate(list(dec.iter_chunks())), WANT["v1"])
+    n_chunks = N_FULL + 1
+    windows = [min(batch_rows, n_chunks - lo) for lo in range(0, n_chunks, batch_rows)]
+    assert len(windows) == -(-n_chunks // batch_rows)
+    assert reads.calls == {
+        "serial": len(windows),
+        "threaded": sum(len(backend.batch_shards(rows)) for rows in windows),
+        "procpool": len(windows),
+        "gpu-sim": n_chunks,
+    }[backend_name]
+    assert tel.counter("fetches_total") == reads.calls
+    singles = sorted(s.args["chunk"] for s in tel.spans if s.name == "chunk_decode")
+    if backend_name == "gpu-sim":
+        assert singles == list(range(n_chunks))
+    else:
+        assert singles == [RAW_CHUNK, N_FULL]
+        assert sorted(per_chunk) == [(N - N_FULL * W, False), (W, True)]
+    assert len(per_chunk) == len(singles)
+
+
+def test_scan_memory_is_one_window(tmp_path):
+    """A file-backed ``iter_chunks`` whose caller keeps no chunk holds one
+    window of ``batch_rows`` chunks at a time: its peak is one window
+    decode's (the previous window is freed before the next decodes), and
+    does not grow with the stream (2 and 5 windows peak alike)."""
+    backend = SerialBackend()
+    rows = backend.batch_rows
+    window_bytes = rows * W * 4
+    rng = np.random.default_rng(29)
+    data = np.cumsum(rng.normal(0, 0.01, 5 * rows * W)).astype(np.float32)
+    slack = 64 << 10
+    peaks = {}
+    for n_windows in (2, 5):
+        path = tmp_path / f"scan{n_windows}.pfpl"
+        path.write_bytes(compress(data[:n_windows * rows * W], "abs", 1e-3))
+        with open(path, "rb") as fh:
+            dec = StreamDecoder(fh, backend)
+            deque(dec.iter_chunks(), maxlen=0)  # warm the kernel's scratch arenas
+            tracemalloc.start()
+            deque(dec.iter_chunks(), maxlen=0)
+            peaks[n_windows] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            dec.decode_range(0, rows * W)
+            peaks["window"] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+    assert peaks[5] <= peaks[2] + slack, peaks
+    assert peaks[5] <= peaks["window"] + slack, peaks
+    assert peaks["window"] <= 4 * window_bytes, peaks

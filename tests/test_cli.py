@@ -128,6 +128,32 @@ class TestStatsAndTrace:
                        if e["name"] == stage} - {None}
             assert batched + len(singles) == n_chunks, stage
 
+    @pytest.mark.parametrize("backend", ["serial", "omp"])
+    def test_decompress_trace_spans_cover_every_chunk_per_stage(
+            self, tmp_path, raw_file, backend):
+        import json
+
+        from repro.telemetry import DECODE_STAGES
+
+        path, data = raw_file
+        comp = tmp_path / "t.pfpl"
+        trace = tmp_path / "dtrace.json"
+        main(["compress", str(path), str(comp)])
+        assert main(["decompress", str(comp), str(tmp_path / "t.out"),
+                     "--backend", backend, "--trace", str(trace)]) == 0
+        doc = json.loads(trace.read_text())
+        spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        n_chunks = -(-data.size // 4096)
+        # The scan decodes full-size chunks as batch rows (a `chunks`
+        # count) and only the ragged tail per chunk (a `chunk` id).
+        for stage in DECODE_STAGES:
+            batched = sum(e["args"].get("chunks") or 0 for e in spans
+                          if e["name"] == stage)
+            singles = [e["args"]["chunk"] for e in spans
+                       if e["name"] == stage and "chunk" in e["args"]]
+            assert singles == [n_chunks - 1], stage
+            assert batched + len(singles) == n_chunks, stage
+
     def test_decompress_trace(self, tmp_path, raw_file):
         import json
 

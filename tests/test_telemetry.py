@@ -16,6 +16,7 @@ from repro.telemetry import (
     NULL_TELEMETRY,
     NullTelemetry,
     Telemetry,
+    TraceContext,
     parse_prometheus,
 )
 
@@ -204,6 +205,23 @@ class TestExporters:
                 pass
         assert len(tel.spans) == 3
         assert tel.summary()["spans_dropped"] == 2
+
+    def test_zero_cap_keeps_no_global_list(self):
+        """``max_spans=0`` retains no global span and counts no drop;
+        histograms and a request's flight-recorder trace still record."""
+        tel = Telemetry(max_spans=0)
+        ctx = TraceContext.mint()
+        tel.begin_trace(ctx)
+        with tel.trace(ctx):
+            for i in range(5):
+                with tel.span("s", cat="codec", i=i):
+                    pass
+        tel.finish_trace(ctx.trace_id)
+        assert tel.spans == []
+        assert tel.summary()["spans_dropped"] == 0
+        assert len(tel.trace_spans(ctx.trace_id)) == 5
+        (row,) = tel.span_latency_summary()
+        assert row["count"] == 5
 
 
 class TestHistograms:
