@@ -27,7 +27,11 @@ Global flags: ``-v``/``-vv`` enable INFO/DEBUG logging; ``compress``,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
+import stat
 import sys
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -59,6 +63,41 @@ def _finish_trace(
     if tel is not None:
         tel.write_chrome_trace(args.trace, trace_id=trace_id)
         log.info("wrote %d trace spans to %s", len(tel.spans), args.trace)
+
+
+@contextlib.contextmanager
+def _output_file(path: str) -> Iterator[BinaryIO]:
+    """Open ``path`` for writing so that a failed command leaves no file.
+
+    The bytes go to a temporary file beside ``path``, which replaces it
+    only when the block exits cleanly and is removed on any exception,
+    so an existing file keeps its bytes.  The temporary file gets the
+    permissions ``open(path, "wb")`` would give.  An existing path that
+    is not a regular file (a FIFO, a device, a symlink such as
+    ``/dev/stdout``) is written in place, never renamed over.
+    """
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.urandom(8).hex()}.tmp")
+    # 0o666 less the umask, as open() creates a new file
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            if st is not None:  # open() keeps an existing file's mode
+                os.chmod(fh.fileno(), stat.S_IMODE(st.st_mode))
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _stats_context(trace_id: str | None) -> "TraceContext | None":
@@ -104,7 +143,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
             for tok in (t.strip() for t in args.pipelines.split(","))
             if tok
         ]
-    with open(args.input, "rb") as src, open(args.output, "wb") as dst:
+    with open(args.input, "rb") as src, _output_file(args.output) as dst:
         with PFPLWriter(
             dst, mode=args.mode, error_bound=args.bound, dtype=dtype,
             value_range=value_range, backend=backend, checksum=args.checksum,
@@ -135,7 +174,7 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
     # Hand the recorder to the backend too, so worker / virtual-SM
     # tracks land in the same trace as the codec spans.
     backend = get_backend(args.backend, telemetry=telemetry or NULL_TELEMETRY)
-    with open(args.input, "rb") as src, open(args.output, "wb") as dst:
+    with open(args.input, "rb") as src, _output_file(args.output) as dst:
         reader = PFPLReader(src, backend=backend, telemetry=telemetry)
         for chunk in reader.iter_chunks():
             chunk.tofile(dst)

@@ -41,7 +41,9 @@ SQRT2 = 1.4142135623730951
 
 #: Values per tile, here and in the REL quantizer built on these
 #: functions.  One REL encode tile's float64 and long-double scratch is
-#: about 1.3 MB, so it stays inside a 2 MiB per-core L2 cache.
+#: about 1.3 MB, so it stays inside a 2 MiB per-core L2 cache; the
+#: quantizer's eight-tile groups add about 1.1 MB of bins and
+#: magnitudes, which it reads a tile at a time.
 TILE = 8192
 
 _SMALLEST_NORMAL = 2.2250738585072014e-308

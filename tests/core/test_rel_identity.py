@@ -1,10 +1,12 @@
 """Tiled REL quantizer and portable math vs their whole-array reference.
 
 REL encode/decode run tile by tile in reused scratch with ``out=``
-ufuncs.  The whole-array formulation they replaced is kept below,
-verbatim, as the reference: every output word, float and lossless count
-must match it bit for bit, for hostile inputs too.  A last test bounds
-the memory the batch entry points allocate.
+ufuncs, and reconstruct each group's bins from a table when the bins
+span no more values than the group has lanes.  The whole-array
+formulation they replaced is kept below, verbatim, as the reference:
+every output word, float and lossless count must match it bit for bit,
+for hostile inputs too, on both reconstruction paths.  A last test
+bounds the memory the batch entry points allocate.
 """
 
 import tracemalloc
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import portable_math as pm
-from repro.core.quantizers.relq import _TILE, RelQuantizer
+from repro.core.quantizers.relq import _GROUP, _TILE, RelQuantizer
 from repro.core.scratch import scratch_release
 
 # -- reference: the whole-array formulation, unchanged ------------------------
@@ -248,6 +250,55 @@ def _hostile_words(q, rng):
     return np.concatenate([edges, rand, payloads, encoded])
 
 
+def _narrow(q, rng):
+    """Three groups of a smooth field whose bins span about an eighth of
+    a group's lanes (so every group takes the bin table), with zero,
+    NaN and +-Inf lanes in each.  The middle group straddles the
+    smallest normal, so half its lanes are denormals."""
+    lay = q.layout
+    t = np.linspace(0.0, 6.0 * np.pi, 3 * _GROUP)
+    amp = min(_GROUP // 16, 32.0 / q._log_step)  # bins; |log2| swing <= 32
+    bins = amp * np.sin(t) + rng.uniform(-0.5, 0.5, t.size)
+    centre = np.repeat([0.0, 1.0 - lay.exponent_bias, -20.0], _GROUP)
+    v = np.exp2(bins * q._log_step + centre)
+    v = np.where(np.cos(3.0 * t) < 0, -v, v).astype(lay.float_dtype)
+    with np.errstate(invalid="ignore"):
+        for g in range(3):
+            lanes = rng.choice(_GROUP, 7, replace=False) + g * _GROUP
+            v[lanes] = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 0.0]
+    return v
+
+
+def _narrow_words(q, rng):
+    """Hostile words in a narrow payload band (bins in [-4096, 4096),
+    either sign bit), a quarter of them lossless, in three groups; the
+    middle group also holds payload 1 (bin -2^63), so its span exceeds
+    its lanes."""
+    lay = q.layout
+    bins = rng.integers(-_GROUP // 16, _GROUP // 16, 3 * _GROUP)
+    zz = ref_zigzag(bins)
+    sign = rng.integers(0, 2, bins.size, dtype=np.uint64)
+    w = (((zz + np.uint64(1)) << np.uint64(1)) | sign).astype(lay.uint_dtype)
+    lossless = rng.random(w.size) < 0.25
+    w[lossless] = rng.integers(lay.mantissa_mask + 1, 1 << lay.bits,
+                               int(lossless.sum()), dtype=lay.uint_dtype)
+    w[_GROUP + 12345] = 1
+    return w
+
+
+def _count_exp2(q):
+    """Replace ``q._exp2`` with a wrapper that counts the lanes it sees."""
+    seen = []
+    exp2 = q._exp2
+
+    def counting(y, out=None):
+        seen.append(y.size)
+        return exp2(y, out=out)
+
+    q._exp2 = counting
+    return seen
+
+
 def _bits(a):
     return a.view(np.uint64 if a.dtype.itemsize == 8 else np.uint32)
 
@@ -325,11 +376,86 @@ class TestRelIdentity:
         assert np.array_equal(_bits(q._decode_words(w)),
                               _bits(_quiet(ref_decode, q, w)))
 
+    def test_narrow_span(self, dtype, bound, impl, rng):
+        """A smooth field takes the bin table, on both sides."""
+        q = RelQuantizer(bound, dtype=dtype, math_impl=impl)
+        v = _narrow(q, rng)
+        seen = _count_exp2(q)
+        words, n_lossless = _quiet(q._encode_words, v)
+        # one group on the per-lane path alone would be a third
+        assert sum(seen) < v.size // 4
+        ref_words, ref_lossless = _quiet(ref_encode, q, v)
+        assert np.array_equal(words, ref_words)
+        assert n_lossless == ref_lossless
+        seen.clear()
+        out = q._decode_words(words)
+        assert sum(seen) < v.size // 4
+        assert np.array_equal(_bits(out), _bits(_quiet(ref_decode, q, words)))
+
+    def test_narrow_hostile_words(self, dtype, bound, impl, rng):
+        q = RelQuantizer(bound, dtype=dtype, math_impl=impl)
+        w = _narrow_words(q, rng)
+        seen = _count_exp2(q)
+        out = q._decode_words(w)
+        # the middle group per lane, the outer two from their tables
+        assert _GROUP <= sum(seen) < _GROUP + w.size // 4
+        assert np.array_equal(_bits(out), _bits(_quiet(ref_decode, q, w)))
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_wide_group_takes_every_lane(dtype, impl, rng):
+    """A group whose bins span more values than its lanes evaluates
+    exp2 on every lane; one holding bin -2^63 cannot wrap into a table."""
+    q = RelQuantizer(1e-3, dtype=dtype, math_impl=impl)
+    w = _narrow_words(q, rng)[_GROUP:2 * _GROUP]
+    seen = _count_exp2(q)
+    out = q._decode_words(w)
+    assert sum(seen) == w.size
+    assert np.array_equal(_bits(out), _bits(_quiet(ref_decode, q, w)))
+    seen.clear()
+    v = _values(dtype, rng)[:_GROUP]  # an exponent sweep
+    words, _ = _quiet(q._encode_words, v)
+    assert sum(seen) == v.size
+    assert np.array_equal(words, _quiet(ref_encode, q, v)[0])
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+def test_exp2_of_signed_zero(impl):
+    """The encoder's -0.0 bins read the table's +0 entry."""
+    q = RelQuantizer(0.1, dtype=np.float64, math_impl=impl)
+    pos, neg = q._exp2(np.array([0.0])), q._exp2(np.array([-0.0]))
+    assert _bits(pos)[0] == _bits(neg)[0]
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+def test_smallest_float64_bound_bins_beyond_2_53(impl):
+    """At the smallest legal float64 bound, bins near the ends of the
+    exponent range reach about +-1.7e18, where float64 bins are spaced
+    256 apart; near-constant input still takes the table, one group
+    per end."""
+    q = RelQuantizer(2.3e-16, dtype=np.float64, math_impl=impl)
+    ulps = np.arange(_GROUP, dtype=np.uint64) % 500
+    top = np.float64(np.finfo(np.float64).max).view(np.uint64) - ulps
+    bottom = np.float64(np.finfo(np.float64).tiny).view(np.uint64) + ulps
+    v = np.concatenate([top, bottom]).view(np.float64)
+    v[::2] *= -1
+    assert np.abs(np.rint(np.log2(np.abs(v)) / q._log_step)).min() > 2.0**60
+    seen = _count_exp2(q)
+    words, n_lossless = q._encode_words(v)
+    ref_words, ref_lossless = ref_encode(q, v)
+    assert np.array_equal(words, ref_words) and n_lossless == ref_lossless
+    assert np.array_equal(_bits(q._decode_words(words)),
+                          _bits(ref_decode(q, words)))
+    assert sum(seen) < 2 * v.size // 4
+
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("size", [0, 1, _TILE - 1, _TILE, _TILE + 1])
+@pytest.mark.parametrize("size", [0, 1, _TILE - 1, _TILE, _TILE + 1,
+                                  _GROUP - 1, _GROUP, _GROUP + 1])
 def test_tile_edges(dtype, size, rng):
-    """Sizes around one tile, through the batch entry points."""
+    """Sizes around one tile and one group, through the batch entry
+    points."""
     q = RelQuantizer(1e-3, dtype=dtype)
     v = rng.choice(_values(dtype, rng), size)
     words = np.empty(size, dtype=q.layout.uint_dtype)

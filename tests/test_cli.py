@@ -206,3 +206,82 @@ class TestStatsAndTrace:
         assert "compressed" in capsys.readouterr().err
         # Leave global logging quiet for the rest of the suite.
         logging.getLogger("repro").setLevel(logging.WARNING)
+
+
+def _flip_payload_byte(stream: bytes, chunk: int) -> bytes:
+    from repro.core.random_access import StreamDecoder
+
+    dec = StreamDecoder(stream)
+    pos = int(dec._starts[chunk] + dec._sizes[chunk] // 2)
+    flipped = bytearray(stream)
+    flipped[pos] ^= 0xFF
+    return bytes(flipped)
+
+
+class TestOutputFile:
+    """A failed compress or decompress leaves no output file behind."""
+
+    @pytest.fixture
+    def streams(self, tmp_path, rng):
+        # 73 full chunks and a tail: the scan writes a 64-chunk window
+        # before it reaches the corrupt chunk 72.
+        data = np.cumsum(rng.normal(0, 0.05, 300_000)).astype(np.float32)
+        raw = tmp_path / "field.f32"
+        data.tofile(raw)
+        good = tmp_path / "good.pfpl"
+        assert main(["compress", str(raw), str(good), "--checksum"]) == 0
+        bad = tmp_path / "bad.pfpl"
+        bad.write_bytes(_flip_payload_byte(good.read_bytes(), 72))
+        return raw, good, bad
+
+    @staticmethod
+    def _names(path):
+        return sorted(p.name for p in path.iterdir())
+
+    def test_failed_decompress_leaves_no_file(self, tmp_path, streams, capsys):
+        _, _, bad = streams
+        before = self._names(tmp_path)
+        out = tmp_path / "out.f32"
+        assert main(["decompress", str(bad), str(out)]) == 3
+        assert "checksum" in capsys.readouterr().err
+        assert not out.exists()
+        assert self._names(tmp_path) == before  # no temporary file either
+
+    def test_failed_compress_leaves_no_file(self, tmp_path, streams):
+        raw, _, _ = streams
+        before = self._names(tmp_path)
+        out = tmp_path / "v1.pfpl"
+        assert main(["compress", str(raw), str(out),
+                     "--format-version", "1", "--checksum"]) == 3
+        assert not out.exists()
+        assert self._names(tmp_path) == before
+
+    def test_failures_keep_an_existing_file(self, tmp_path, streams):
+        raw, _, bad = streams
+        out = tmp_path / "kept"
+        out.write_bytes(b"earlier output")
+        assert main(["decompress", str(bad), str(out)]) == 3
+        assert main(["compress", str(raw), str(out),
+                     "--format-version", "1", "--checksum"]) == 3
+        assert out.read_bytes() == b"earlier output"
+
+    def test_decompress_writes_the_decoded_bytes(self, tmp_path, streams):
+        from repro import decompress
+
+        _, good, _ = streams
+        out = tmp_path / "out.f32"
+        assert main(["decompress", str(good), str(out)]) == 0
+        assert out.read_bytes() == decompress(good.read_bytes()).tobytes()
+        plain = tmp_path / "plain"
+        with open(plain, "wb"):
+            pass
+        assert out.stat().st_mode == plain.stat().st_mode
+
+    def test_non_regular_path_is_written_in_place(self, tmp_path, streams):
+        _, good, _ = streams
+        target = tmp_path / "target.f32"
+        link = tmp_path / "link.f32"
+        link.symlink_to(target)
+        assert main(["decompress", str(good), str(link)]) == 0
+        assert link.is_symlink()
+        assert target.stat().st_size == 300_000 * 4
