@@ -31,7 +31,7 @@ import contextlib
 import os
 import stat
 import sys
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterator, TextIO, cast
 
 import numpy as np
 
@@ -100,6 +100,31 @@ def _output_file(path: str) -> Iterator[BinaryIO]:
         raise
 
 
+class _CountingSink:
+    """A write-only sink that counts the bytes it passes on to ``fh``: a
+    pipe has no position to ``tell()``."""
+
+    def __init__(self, fh: BinaryIO) -> None:
+        self._fh = fh
+        self.nbytes = 0
+
+    def write(self, data) -> int:
+        self.nbytes += memoryview(data).nbytes
+        return self._fh.write(data)
+
+
+def _status_stream(dst: BinaryIO) -> TextIO:
+    """Where a command's status line goes: stderr when ``dst`` is the
+    file stdout writes to (``pfpl decompress IN /dev/stdout > OUT`` or
+    ``| ...``), where the line would land among the data; else stdout."""
+    try:
+        out, std = os.fstat(dst.fileno()), os.fstat(sys.stdout.fileno())
+    except (AttributeError, OSError, ValueError):  # stdout has no fd
+        return sys.stdout
+    same = (out.st_dev, out.st_ino) == (std.st_dev, std.st_ino)
+    return sys.stderr if same else sys.stdout
+
+
 def _stats_context(trace_id: str | None) -> "TraceContext | None":
     """Build the ``pfpl stats --trace-id`` request context.
 
@@ -144,8 +169,9 @@ def _cmd_compress(args: argparse.Namespace) -> int:
             if tok
         ]
     with open(args.input, "rb") as src, _output_file(args.output) as dst:
+        sink = _CountingSink(dst)
         with PFPLWriter(
-            dst, mode=args.mode, error_bound=args.bound, dtype=dtype,
+            cast(BinaryIO, sink), mode=args.mode, error_bound=args.bound, dtype=dtype,
             value_range=value_range, backend=backend, checksum=args.checksum,
             format_version=args.format_version, pipelines=pipelines,
             telemetry=telemetry,
@@ -156,15 +182,15 @@ def _cmd_compress(args: argparse.Namespace) -> int:
                     break
                 writer.append(block)
         original = writer.values_appended * np.dtype(dtype).itemsize
-        compressed = dst.tell()
+        status = _status_stream(dst)
     _finish_trace(telemetry, args)
-    ratio = original / max(1, compressed)
+    ratio = original / max(1, sink.nbytes)
     log.info("compressed %s with mode=%s bound=%g backend=%s",
              args.input, args.mode, args.bound, args.backend)
     print(
-        f"{args.input}: {original} -> {compressed} bytes "
+        f"{args.input}: {original} -> {sink.nbytes} bytes "
         f"(ratio {ratio:.2f}, {writer.stats.lossless / max(1, writer.stats.total) * 100:.2f}% "
-        f"stored losslessly)"
+        f"stored losslessly)", file=status,
     )
     return 0
 
@@ -177,11 +203,13 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
     with open(args.input, "rb") as src, _output_file(args.output) as dst:
         reader = PFPLReader(src, backend=backend, telemetry=telemetry)
         for chunk in reader.iter_chunks():
-            chunk.tofile(dst)
+            dst.write(chunk)  # a contiguous view; a pipe takes no tofile()
         header = reader.header
+        status = _status_stream(dst)
     _finish_trace(telemetry, args)
     log.info("decompressed %s (%d chunks)", args.input, header.n_chunks)
-    print(f"{args.input}: reconstructed {header.count} x {np.dtype(header.dtype)} values")
+    print(f"{args.input}: reconstructed {header.count} x {np.dtype(header.dtype)} values",
+          file=status)
     return 0
 
 

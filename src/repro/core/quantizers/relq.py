@@ -19,8 +19,10 @@ less), so bins are stored in the **negative NaN** region instead:
 * every input negative NaN is first made positive (freeing the region),
 * an accepted bin becomes a negative-NaN word whose mantissa packs the
   value's sign bit and the zig-zag coded bin index,
-* everything else (zeros, infinities, positive NaNs, denormals or
-  values whose reconstruction fails the check) is stored losslessly,
+* everything else (zeros, infinities, positive NaNs, and values whose
+  reconstruction fails the check or whose bin does not fit the payload)
+  is stored losslessly; a denormal is quantized like any other finite
+  value whenever its reconstruction passes the check,
 * finally the sign+exponent bits of *all* emitted words are inverted so
   the frequent bin words carry leading '0' instead of leading '1' bits,
   which the downstream lossless stages exploit.
@@ -30,12 +32,14 @@ and decode work in groups of eight tiles
 (:data:`~repro.core.portable_math.TILE` values each) and
 :meth:`RelQuantizer._magnitudes` evaluates ``exp2`` once per bin value
 when a group's bins span no more values than it has lanes, once per lane
-otherwise.  The encoder checks each bin against that function's output,
-which is exactly the value the decoder produces.  Its log2 and bound
-check run tile by tile, so one tile's float64 and long-double working
-set stays in a per-core L2 cache.  All of it runs through per-thread
-scratch, every step an ``out=`` ufunc: no whole-block temporary is
-allocated.
+otherwise.  The encoder checks each bin against exactly the value the
+decoder produces.  A group with at least :data:`_LANES_PER_BIN` lanes
+per bin value checks each bin value once, as an interval of accepted
+magnitudes (:func:`_acceptance_interval`); any other group checks every
+lane.  Its log2 and bound check run tile by tile, so one tile's float64
+and long-double working set stays in a per-core L2 cache.  All of it
+runs through per-thread scratch, every step an ``out=`` ufunc: no
+whole-block temporary is allocated.
 """
 
 from __future__ import annotations
@@ -54,6 +58,21 @@ __all__ = ["RelQuantizer"]
 #: decoder share the group-sized ``relq.g*`` scratch slots; they are
 #: never live at once on one thread.
 _GROUP = 8 * _TILE
+
+#: An encode group checks each bin value once when its bins span at most
+#: one value per this many lanes, else every lane.  The per-bin check
+#: costs about 75-80 ns per bin value and saves about 20 ns per lane, so
+#: it pays up to about 0.29 values per lane: against the per-lane check
+#: it read -27% / -26% (float32 / float64) at span/lanes 0.1 and -7% /
+#: -7% at 0.25.  Measured in one process against the per-lane encoder,
+#: encode time per 65,536-lane group, median of 15 alternating rounds on
+#: a 2-CPU host: with the crossover at one value per lane, the per-bin
+#: check read -15% / -20% at 0.15, but +22% / +30% at 0.5, +67% / +67% at
+#: 0.9 and +60% / +57% on the archive's smooth steps at REL 1e-4 (0.81-1.32
+#: values per lane); with this crossover those three rows check every
+#: lane and read -2% / +2%, +1% / 0% and +7% / +1%, within the per-lane
+#: encoder's own spread.  Its tables hold at most a quarter-group.
+_LANES_PER_BIN = 4
 
 _RAMP = np.arange(_TILE, dtype=np.int64)
 _RAMP.flags.writeable = False
@@ -108,39 +127,43 @@ class RelQuantizer(Quantizer):
 
     # -- reconstruction ----------------------------------------------------
 
-    def _magnitudes(self, bins: np.ndarray, out: np.ndarray) -> None:
+    def _magnitudes(self, bins: np.ndarray, lo: int, span: int,
+                    out: np.ndarray) -> None:
         """Reconstruct one group: ``out = exp2(bins * log_step)`` in the
-        data dtype, for the int64 ``bins`` of at most :data:`_GROUP` lanes.
+        data dtype, for the int64 ``bins`` of at most :data:`_GROUP` lanes
+        whose values span ``[lo, lo + span)`` (:func:`_bin_span`).
 
-        The encoder's bound check and the decoder both read this, so the
+        The decoder and the encoder's per-lane check read this, so the
         check verifies exactly the value the decoder produces.  When the
         group's bins span no more values than it has lanes, every bin in
-        ``[lo, hi]`` is reconstructed once into a table that the lanes
+        the span is reconstructed once by :meth:`_bin_table` and the lanes
         gather; otherwise every lane is reconstructed.  A table entry is
         the per-lane expression applied to the same float64 input, so the
         two paths agree bit for bit.
         """
         n = bins.size
-        lo = int(bins.min())
-        # Python ints: a hostile payload decodes to bin -2^63, so the
-        # span can exceed int64.
-        span = int(bins.max()) - lo + 1
         if span > n:
             for s in range(0, n, _TILE):
                 self._exp2_bins(bins[s:s + _TILE], out[s:s + _TILE])
             return
         table = scratch("relq.table", span, out.dtype)
-        ints = scratch("relq.ints", min(span, _TILE), np.int64)
-        for s in range(0, span, _TILE):
-            k = ints[:min(_TILE, span - s)]
-            np.add(_RAMP[:k.size], lo + s, out=k)  # <= hi: no wrap
-            self._exp2_bins(k, table[s:s + k.size])
+        self._bin_table(lo, table)
         idx = scratch("relq.idx", min(n, _TILE), np.int64)
         for s in range(0, n, _TILE):
             i = idx[:min(_TILE, n - s)]
             np.subtract(bins[s:s + i.size], lo, out=i)
             # every index is in range; "clip" only skips take's buffering
             np.take(table, i, out=out[s:s + i.size], mode="clip")
+
+    def _bin_table(self, lo: int, table: np.ndarray) -> None:
+        """Reconstruct the bin values ``lo, lo + 1, ...`` into ``table``
+        (one entry each), a tile of bin values at a time."""
+        span = table.size
+        ints = scratch("relq.ints", min(span, _TILE), np.int64)
+        for s in range(0, span, _TILE):
+            k = ints[:min(_TILE, span - s)]
+            np.add(_RAMP[:k.size], lo + s, out=k)  # <= hi: no wrap
+            self._exp2_bins(k, table[s:s + k.size])
 
     def _exp2_bins(self, bins: np.ndarray, out: np.ndarray) -> None:
         """``exp2(float64(bin) * log_step)`` cast to ``out``'s dtype, per
@@ -170,8 +193,12 @@ class RelQuantizer(Quantizer):
         """Encode one group into ``out``; returns the bin count.
 
         Two tile passes: the first writes the lossless words and the
-        bins, the second checks each bin's :meth:`_magnitudes` value and
-        packs the accepted ones.
+        bins, the second checks the bins and packs the accepted ones.
+        A group with at least :data:`_LANES_PER_BIN` lanes per bin value
+        checks each lane against its bin's acceptance interval
+        (:meth:`_bin_checks`); any other group checks each lane's
+        :meth:`_magnitudes` value with :func:`_within_rel_bound`.  Both
+        give the same verdict.
         """
         n = v.size
         lay = self.layout
@@ -179,7 +206,6 @@ class RelQuantizer(Quantizer):
         mag = scratch("relq.gword", n, lay.uint_dtype)
         quant = scratch("relq.gmask", n, np.bool_)
         bins = scratch("relq.gbins", n, np.int64)
-        recon = scratch("relq.grecon", n, lay.float_dtype)
         for s in range(0, n, _TILE):
             e = s + _TILE
             self._bin_tile(bits[s:e], out[s:e], mag[s:e], quant[s:e], bins[s:e])
@@ -187,9 +213,22 @@ class RelQuantizer(Quantizer):
             park = scratch("relq.gpark", n, np.bool_)
             np.logical_not(quant, out=park)
             _park_non_bins(bins, park)
-        self._magnitudes(bins, recon)
-        absv = mag.view(lay.float_dtype)
+        lo, span = _bin_span(bins)
         n_bins = 0
+        if _LANES_PER_BIN * span <= n:
+            a_lo = scratch("relq.alo", span, lay.uint_dtype)
+            a_hi = scratch("relq.ahi", span, lay.uint_dtype)
+            words = scratch("relq.bword", span, lay.uint_dtype)
+            self._bin_checks(lo, a_lo, a_hi, words)
+            for s in range(0, n, _TILE):
+                e = s + _TILE
+                n_bins += self._pack_tile_per_bin(
+                    bits[s:e], out[s:e], mag[s:e], quant[s:e], bins[s:e],
+                    lo, a_lo, a_hi, words)
+            return n_bins
+        recon = scratch("relq.grecon", n, lay.float_dtype)
+        self._magnitudes(bins, lo, span, recon)
+        absv = mag.view(lay.float_dtype)
         for s in range(0, n, _TILE):
             e = s + _TILE
             n_bins += self._pack_tile(bits[s:e], out[s:e], absv[s:e],
@@ -254,37 +293,112 @@ class RelQuantizer(Quantizer):
         n = bits.size
         ok = scratch("relq.ok", n, np.bool_)
         fits = scratch("relq.fits", n, np.bool_)
-        zz = scratch("relq.zz", n, np.int64)
-        zs = scratch("relq.zs", n, np.int64)
 
         # Verify against the value the decoder will produce (recon, i.e.
         # the float32/float64-rounded magnitude) in 80-bit precision.
         _within_rel_bound(absv, recon, self.error_bound, ok)
+        payload = self._payloads(bins, fits)
+        np.logical_and(ok, fits, out=ok)
+        np.logical_and(ok, quant, out=ok)
 
+        sign = scratch("relq.sign", n, lay.uint_dtype)
+        np.right_shift(bits, lay.uint(lay.bits - 1), out=sign)
+        np.bitwise_or(payload, sign, out=payload)
+        np.copyto(out, payload, where=ok)
+        return int(np.count_nonzero(ok))
+
+    def _payloads(self, bins: np.ndarray, fits: np.ndarray) -> np.ndarray:
+        """Each int64 bin's payload ``(zigzag(bin) + 1) << 1`` as a
+        data-width word in per-thread scratch (at most one tile), and in
+        ``fits`` whether its zig-zag code fits the payload.
+
+        An accepted bin's word is the negative NaN SIGN|EXP|payload|sign;
+        with sign+exponent inverted that is the payload and the value's
+        sign bit alone.
+        """
+        n = bins.size
+        zz = scratch("relq.zz", n, np.int64)
+        zs = scratch("relq.zs", n, np.int64)
         # Zig-zag the bin: 0,-1,1,-2,2... -> 0,1,2,3,4...
         np.right_shift(bins, 63, out=zs)
         np.left_shift(bins, 1, out=zz)
         np.bitwise_xor(zz, zs, out=zz)
         zzu = zz.view(np.uint64)
         np.less_equal(zzu, np.uint64(self._max_zigzag), out=fits)
-        np.logical_and(ok, fits, out=ok)
-        np.logical_and(ok, quant, out=ok)
-
-        # An accepted bin's word is the negative NaN SIGN|EXP|payload,
-        # payload = ((zz+1) << 1) | sign; with sign+exponent inverted
-        # that is the payload alone.
         np.add(zzu, np.uint64(1), out=zzu)
         np.left_shift(zzu, np.uint64(1), out=zzu)
+        if self.layout.float_dtype == np.float64:
+            return zzu
+        # truncation only touches bins that do not fit (never selected)
+        payload = scratch("relq.tmp", n, self.layout.uint_dtype)
+        np.copyto(payload, zzu, casting="unsafe")
+        return payload
+
+    def _bin_checks(self, lo: int, a_lo: np.ndarray, a_hi: np.ndarray,
+                    words: np.ndarray) -> None:
+        """For every bin value ``b = lo + i``, ``i < a_lo.size``: the
+        interval ``[a_lo[i], a_hi[i]]`` of magnitude bit patterns that
+        :func:`_within_rel_bound` accepts against ``b``'s reconstruction,
+        and ``b``'s payload word (:meth:`_payloads`) in ``words``.
+
+        The interval is empty (``a_lo > a_hi``, by ``a_hi = 0``, since
+        every interval's ``a_lo`` is at least 1) when ``b`` cannot be
+        stored: it reconstructs to 0 or +Inf, or its zig-zag code does
+        not fit the payload.  The reconstructions come from
+        :meth:`_bin_table`, the decoder's own values.
+        """
+        span = a_lo.size
+        table = scratch("relq.table", span, self.layout.float_dtype)
+        self._bin_table(lo, table)
+        # half tiles: the check sees two candidates per bin value
+        step = min(span, _TILE // 2)
+        ints = scratch("relq.ints", step, np.int64)
+        fits_all = scratch("relq.fits", step, np.bool_)
+        keep_all = scratch("relq.ok", step, np.bool_)
+        for s in range(0, span, step):
+            e = min(s + step, span)
+            k, fits, keep = ints[:e - s], fits_all[:e - s], keep_all[:e - s]
+            np.add(_RAMP[:k.size], lo + s, out=k)
+            np.copyto(words[s:e], self._payloads(k, fits))
+            r = table[s:e]
+            _acceptance_interval(r, self.error_bound, a_lo[s:e], a_hi[s:e])
+            # Explicit, because a reconstruction of 0 gets a_hi = prev(0),
+            # which wraps to all ones.
+            np.isfinite(r, out=keep)
+            np.logical_and(keep, fits, out=keep)
+            np.not_equal(r, 0, out=fits)
+            np.logical_and(keep, fits, out=keep)
+            np.multiply(a_hi[s:e], keep, out=a_hi[s:e])
+
+    def _pack_tile_per_bin(self, bits: np.ndarray, out: np.ndarray,
+                           mag: np.ndarray, quant: np.ndarray,
+                           bins: np.ndarray, lo: int, a_lo: np.ndarray,
+                           a_hi: np.ndarray, words: np.ndarray) -> int:
+        """Second pass over one tile of a per-bin group: accept a
+        quantizable lane when its magnitude bits ``mag`` lie in its bin's
+        interval ``[a_lo, a_hi]`` (:meth:`_bin_checks`, indexed by
+        ``bin - lo``), and write its bin's word with its sign bit over
+        the lossless one in ``out``; returns the bin count."""
+        lay = self.layout
+        n = bits.size
+        idx = scratch("relq.idx", n, np.int64)
+        gathered = scratch("relq.gather", n, lay.uint_dtype)
+        ok = scratch("relq.ok", n, np.bool_)
+        tb = scratch("relq.fits", n, np.bool_)
+        np.subtract(bins, lo, out=idx)
+        # every index is in range; "clip" only skips take's buffering
+        np.take(a_lo, idx, out=gathered, mode="clip")
+        np.less_equal(gathered, mag, out=ok)
+        np.take(a_hi, idx, out=gathered, mode="clip")
+        np.less_equal(mag, gathered, out=tb)
+        np.logical_and(ok, tb, out=ok)
+        np.logical_and(ok, quant, out=ok)
+
+        np.take(words, idx, out=gathered, mode="clip")
         sign = scratch("relq.sign", n, lay.uint_dtype)
-        if lay.float_dtype == np.float64:
-            payload = zzu
-        else:
-            # truncation only touches bins that do not fit (never selected)
-            payload = scratch("relq.tmp", n, lay.uint_dtype)
-            np.copyto(payload, zzu, casting="unsafe")
         np.right_shift(bits, lay.uint(lay.bits - 1), out=sign)
-        np.bitwise_or(payload, sign, out=payload)
-        np.copyto(out, payload, where=ok)
+        np.bitwise_or(gathered, sign, out=gathered)
+        np.copyto(out, gathered, where=ok)
         return int(np.count_nonzero(ok))
 
     # -- decode ------------------------------------------------------------
@@ -326,7 +440,7 @@ class RelQuantizer(Quantizer):
         if has_lossless:
             _park_non_bins(bins, lossless)
 
-        self._magnitudes(bins, out)
+        self._magnitudes(bins, *_bin_span(bins), out)
         # The payload's low bit is the value's sign.
         out_bits = out.view(udt)
         np.left_shift(w, lay.uint(lay.bits - 1), out=tmp)
@@ -334,6 +448,14 @@ class RelQuantizer(Quantizer):
         if has_lossless:
             np.bitwise_xor(w, lay.uint(lay.invert_mask), out=tmp)
             np.copyto(out_bits, tmp, where=lossless)
+
+
+def _bin_span(bins: np.ndarray) -> tuple[int, int]:
+    """A group's lowest bin and the number of bin values up to its
+    highest, in Python ints: a hostile payload decodes to bin -2^63, so
+    the span can exceed int64."""
+    lo = int(bins.min())
+    return lo, int(bins.max()) - lo + 1
 
 
 def _park_non_bins(bins: np.ndarray, non_bin: np.ndarray) -> None:
@@ -376,3 +498,61 @@ def _within_rel_bound(
     # r > 0 on a finite recon is recon != 0, tested in its own dtype
     np.not_equal(recon, 0, out=tb)
     np.logical_and(out, tb, out=out)
+
+
+def _acceptance_interval(
+    recon: np.ndarray, eps: float, a_lo: np.ndarray, a_hi: np.ndarray
+) -> None:
+    """The magnitudes :func:`_within_rel_bound` accepts against each
+    finite nonzero reconstruction in ``recon`` (at most half a tile: the
+    check runs on two candidates per entry), as the bit patterns
+    ``[a_lo, a_hi]`` of the data dtype.
+
+    For a fixed reconstruction ``r`` the check tests ``fl(a / c) <= r``
+    and ``r <= fl(a * c)`` in long double, with ``c = fl(1 + eps)``.  Both
+    sides are monotone in ``a``, so the accepted magnitudes form one
+    interval, and positive IEEE values order like their bit patterns.
+    The endpoints come from the check itself.  The candidates are
+    ``t_hi = dtype(fl(r * c))`` and ``t_lo = dtype(fl(r / c))``; then
+    ``a_hi = t_hi`` if the check accepts ``(t_hi, r)``, else
+    ``prev(t_hi)``, and ``a_lo = t_lo`` if it accepts ``(t_lo, r)``, else
+    ``next(t_lo)``.
+
+    One step suffices.  The long-double product and quotient are within
+    2^-64 relative of the real edges ``r * c`` and ``r / c``, and the
+    check's own division and product round by as little.  So only a
+    magnitude within about 2^-63 relative of an edge can get a verdict
+    other than the real comparison's, and at most one data-dtype value
+    is that close, since neighbours lie at least 2^-53 relative apart.
+    Each candidate is the dtype value nearest its long-double edge:
+    within half a dtype ulp, plus about 2^-64 relative, of the real
+    edge.  So it is one of the edge's two dtype neighbours, and when one
+    of them is that close to the edge it is the candidate.  Either the
+    candidate's verdict is the real comparison's, and the candidate or
+    its neighbour towards ``r`` is the endpoint, or the candidate is the
+    close value and one step decides it.
+
+    A reconstruction of +Inf gets an empty interval (``a_lo > a_hi``)
+    from the check's rejection of both candidates.  A reconstruction of
+    0 does not (``prev(0)`` wraps to all ones): the caller must empty it.
+    """
+    k = recon.size
+    udt = a_lo.dtype
+    # One check over both candidates: [t_hi..., t_lo...] against [r..., r...]
+    r2 = scratch("relq.r2", 2 * k, recon.dtype)
+    t = scratch("relq.ld_t", 2 * k, np.longdouble)
+    cand = scratch("relq.cand", 2 * k, recon.dtype)
+    ok = scratch("relq.cok", 2 * k, np.bool_)
+    np.copyto(r2[:k], recon)
+    np.copyto(r2[k:], recon)
+    one_plus = np.longdouble(1.0) + np.longdouble(eps)
+    np.copyto(t[:k], recon)
+    np.divide(t[:k], one_plus, out=t[k:])
+    np.multiply(t[:k], one_plus, out=t[:k])
+    with np.errstate(over="ignore"):  # dtype(r * c) may round to +Inf
+        np.copyto(cand, t, casting="same_kind")
+    _within_rel_bound(cand, r2, eps, ok)
+    np.logical_not(ok, out=ok)
+    bits = cand.view(udt)
+    np.subtract(bits[:k], ok[:k], out=a_hi)
+    np.add(bits[k:], ok[k:], out=a_lo)

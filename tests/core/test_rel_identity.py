@@ -2,11 +2,14 @@
 
 REL encode/decode run tile by tile in reused scratch with ``out=``
 ufuncs, and reconstruct each group's bins from a table when the bins
-span no more values than the group has lanes.  The whole-array
-formulation they replaced is kept below, verbatim, as the reference:
-every output word, float and lossless count must match it bit for bit,
-for hostile inputs too, on both reconstruction paths.  A last test
-bounds the memory the batch entry points allocate.
+span no more values than the group has lanes.  An encode group with at
+least ``_LANES_PER_BIN`` lanes per bin value checks each bin value once,
+as an interval of accepted magnitudes, instead of every lane.  The
+whole-array formulation they replaced is kept below, verbatim, as the
+reference: every output word, float and lossless count must match it
+bit for bit, for hostile inputs too, on every route, and the intervals'
+ends must be exactly where the reference check changes its verdict.
+The last tests bound the memory the batch entry points allocate.
 """
 
 import tracemalloc
@@ -15,7 +18,8 @@ import numpy as np
 import pytest
 
 from repro.core import portable_math as pm
-from repro.core.quantizers.relq import _GROUP, _TILE, RelQuantizer
+from repro.core.quantizers import relq
+from repro.core.quantizers.relq import _GROUP, _LANES_PER_BIN, _TILE, RelQuantizer
 from repro.core.scratch import scratch_release
 
 # -- reference: the whole-array formulation, unchanged ------------------------
@@ -299,6 +303,66 @@ def _count_exp2(q):
     return seen
 
 
+def _count_checks(monkeypatch):
+    """Wrap ``relq._within_rel_bound`` so that it records how many
+    (magnitude, reconstruction) pairs each call checks."""
+    seen = []
+    check = relq._within_rel_bound
+
+    def counting(abs_original, recon, eps, out):
+        seen.append(out.size)
+        check(abs_original, recon, eps, out)
+
+    monkeypatch.setattr(relq, "_within_rel_bound", counting)
+    return seen
+
+
+def ref_recon(q, bins):
+    """The reference decoder's magnitude for each int64 bin."""
+    _, exp2 = _ref_math(q)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return exp2(bins.astype(np.float64) * q._log_step).astype(
+            q.layout.float_dtype)
+
+
+def ref_span(q, v):
+    """The number of bin values the reference encoder's bins of the
+    quantizable lanes of ``v`` span (1 when there are none)."""
+    log2, _ = _ref_math(q)
+    a = np.abs(v[np.isfinite(v) & (v != 0)]).astype(np.float64)
+    if not a.size:
+        return 1
+    bins = np.rint(log2(a) / q._log_step)
+    return int(bins.max() - bins.min()) + 1
+
+
+def _first_bin(q, pred, log2_lo, log2_hi):
+    """The lowest bin whose reference reconstruction satisfies ``pred``,
+    which must hold at ``log2_hi`` (in log2 of the magnitude), fail at
+    ``log2_lo``, and be monotone between them: a bisection."""
+    def holds(b):
+        return bool(pred(ref_recon(q, np.array([b], dtype=np.int64))[0]))
+
+    lo = int(np.floor(log2_lo / q._log_step))
+    hi = int(np.ceil(log2_hi / q._log_step))
+    assert not holds(lo) and holds(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
+
+
+def _live_bins(q):
+    """The lowest and highest bin whose zig-zag code fits the payload and
+    whose reference reconstruction is finite and nonzero."""
+    fi = np.finfo(q.layout.float_dtype)
+    tiny, top = np.log2(float(fi.smallest_subnormal)), np.log2(float(fi.max))
+    first = _first_bin(q, lambda r: r != 0, tiny - 2, tiny)
+    last = _first_bin(q, lambda r: not np.isfinite(r), top - 1, top + 1) - 1
+    fit = q._max_zigzag // 2  # the payload holds bins -fit..fit
+    return max(first, -fit), min(last, fit)
+
+
 def _bits(a):
     return a.view(np.uint64 if a.dtype.itemsize == 8 else np.uint32)
 
@@ -392,6 +456,19 @@ class TestRelIdentity:
         assert sum(seen) < v.size // 4
         assert np.array_equal(_bits(out), _bits(_quiet(ref_decode, q, words)))
 
+    def test_narrow_checks_each_bin_once(self, dtype, bound, impl, rng,
+                                         monkeypatch):
+        """Every ``_narrow`` group takes the per-bin route: the check sees
+        two candidates per bin value of each group, never the lanes."""
+        q = RelQuantizer(bound, dtype=dtype, math_impl=impl)
+        v = _narrow(q, rng)
+        spans = [ref_span(q, v[s:s + _GROUP]) for s in range(0, v.size, _GROUP)]
+        assert all(_LANES_PER_BIN * span <= _GROUP for span in spans)
+        seen = _count_checks(monkeypatch)
+        words, _ = _quiet(q._encode_words, v)
+        assert sum(seen) == 2 * sum(spans)
+        assert np.array_equal(words, _quiet(ref_encode, q, v)[0])
+
     def test_narrow_hostile_words(self, dtype, bound, impl, rng):
         q = RelQuantizer(bound, dtype=dtype, math_impl=impl)
         w = _narrow_words(q, rng)
@@ -418,6 +495,152 @@ def test_wide_group_takes_every_lane(dtype, impl, rng):
     words, _ = _quiet(q._encode_words, v)
     assert sum(seen) == v.size
     assert np.array_equal(words, _quiet(ref_encode, q, v)[0])
+
+
+def _edge_lanes(q, rng, bins):
+    """Every value within 3 ulps of ``r * (1 + eps)`` and ``r / (1 + eps)``
+    for each bin's reference reconstruction ``r``, with random signs: the
+    lanes whose verdict the check decides by an ulp."""
+    lay = q.layout
+    r = ref_recon(q, bins).astype(np.longdouble)
+    c = np.longdouble(1.0) + np.longdouble(q.error_bound)
+    with np.errstate(over="ignore"):
+        edges = np.concatenate([r * c, r / c]).astype(lay.float_dtype)
+    ends = edges.view(lay.uint_dtype).astype(np.int64)
+    lanes = (ends[:, None] + np.arange(-3, 4)).reshape(-1)
+    # positive finite magnitudes up to +Inf
+    np.clip(lanes, 1, lay.exponent_mask, out=lanes)
+    words = lanes.astype(lay.uint_dtype)
+    sign = rng.random(words.size) < 0.5
+    words[sign] |= lay.uint(lay.sign_mask)
+    return words.view(lay.float_dtype)
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+@pytest.mark.parametrize("dtype,bound", [(np.float32, b) for b in BOUNDS[:5]]
+                         + [(np.float64, b) for b in BOUNDS[:5] + [1e-12]])
+def test_edge_lanes_on_both_routes(dtype, bound, impl, rng, monkeypatch):
+    """The edge lanes of sampled bins, compared word for word with the
+    reference encoder, in one group on each route: consecutive bins (14
+    lanes per bin value: per bin) and every fifth bin (under three lanes
+    per bin value: per lane)."""
+    q = RelQuantizer(bound, dtype=dtype, math_impl=impl)
+    first, last = _live_bins(q)
+    seen = _count_checks(monkeypatch)
+    for stride, per_bin in ((1, True), (5, False)):
+        n_bins = min(2000, (last - first) // (2 * stride))
+        start = int(rng.integers(first, last - stride * n_bins))
+        bins = start + stride * np.arange(n_bins, dtype=np.int64)
+        v = _edge_lanes(q, rng, bins)
+        assert v.size <= _GROUP
+        seen.clear()
+        words, n_lossless = _quiet(q._encode_words, v)
+        ref_words, ref_lossless = _quiet(ref_encode, q, v)
+        assert np.array_equal(words, ref_words)
+        assert n_lossless == ref_lossless
+        assert 0 < n_lossless < v.size  # both verdicts occur
+        span = ref_span(q, v)
+        assert (_LANES_PER_BIN * span <= v.size) == per_bin
+        assert sum(seen) == (2 * span if per_bin else v.size)
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lanes", [_GROUP, 4096])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_crossover(dtype, lanes, extra, impl, rng, monkeypatch):
+    """A group whose bins span exactly a quarter of its lanes checks each
+    bin value once; one bin value more and it checks every lane."""
+    q = RelQuantizer(1e-3, dtype=dtype, math_impl=impl)
+    span = lanes // _LANES_PER_BIN + extra
+    b = rng.permutation(np.concatenate(
+        [np.arange(span), rng.integers(0, span, lanes - span)]))
+    b -= span // 2
+    v = np.exp2((b + rng.uniform(-0.4, 0.4, lanes)) * q._log_step)
+    v[rng.random(lanes) < 0.5] *= -1
+    v = v.astype(dtype)
+    assert ref_span(q, v) == span
+    seen = _count_checks(monkeypatch)
+    words, n_lossless = q._encode_words(v)
+    assert sum(seen) == (2 * span if extra <= 0 else lanes)
+    ref_words, ref_lossless = ref_encode(q, v)
+    assert np.array_equal(words, ref_words) and n_lossless == ref_lossless
+
+
+def _check_endpoints(q, bins):
+    """``_acceptance_interval`` on the reference reconstructions of
+    ``bins``: the reference check must accept both ends of each interval
+    and reject their outer neighbours."""
+    lay = q.layout
+    step = _TILE // 2  # the route's own call size
+    for s in range(0, bins.size, step):
+        r = ref_recon(q, bins[s:s + step])
+        assert np.isfinite(r).all() and (r != 0).all()
+        a_lo = np.empty(r.size, dtype=lay.uint_dtype)
+        a_hi = np.empty(r.size, dtype=lay.uint_dtype)
+        relq._acceptance_interval(r, q.error_bound, a_lo, a_hi)
+        for a, verdict in ((a_lo, True), (a_hi, True),
+                           (a_lo - 1, False), (a_hi + 1, False)):
+            ok = ref_within_rel_bound(a.view(lay.float_dtype), r, q.error_bound)
+            assert (ok == verdict).all(), (
+                f"bins {bins[s:s + step][ok != verdict][:4]}")
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+@pytest.mark.parametrize("bound", [0.1, 1e-2, 1e-3, 1e-4])
+def test_acceptance_interval_float32_every_bin(bound, impl):
+    """Every float32 bin with a finite nonzero reconstruction, denormal
+    reconstructions included."""
+    q = RelQuantizer(bound, dtype=np.float32, math_impl=impl)
+    first, last = _live_bins(q)
+    _check_endpoints(q, np.arange(first, last + 1, dtype=np.int64))
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+@pytest.mark.parametrize("bound", [0.1, 1e-3, 1e-6, 1e-10, 2.3e-16])
+def test_acceptance_interval_float64_sampled(bound, impl, rng):
+    """float64 bins sampled across the range, plus the first and last
+    2,000 bins that reconstruct finite and nonzero and fit the payload."""
+    q = RelQuantizer(bound, dtype=np.float64, math_impl=impl)
+    first, last = _live_bins(q)
+    bins = np.concatenate([
+        np.arange(first, first + 2000, dtype=np.int64),
+        rng.integers(first, last + 1, 16_000, dtype=np.int64),
+        np.arange(last - 1999, last + 1, dtype=np.int64),
+    ])
+    _check_endpoints(q, bins)
+
+
+def _bin_tables(q, lo, span):
+    """``q._bin_checks`` over ``span`` bin values from ``lo``, in fresh
+    arrays."""
+    lay = q.layout
+    a_lo, a_hi, words = (np.empty(span, dtype=lay.uint_dtype) for _ in range(3))
+    q._bin_checks(lo, a_lo, a_hi, words)
+    return a_lo, a_hi, words
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+@pytest.mark.parametrize("dtype,bound", [(np.float32, 1e-3), (np.float32, 1e-6),
+                                         (np.float64, 1e-3), (np.float64, 2.3e-16)])
+def test_bins_that_cannot_be_stored_get_empty_intervals(dtype, bound, impl):
+    """Around the reconstructions' ends and the payload's ends, a bin gets
+    an empty interval exactly when it reconstructs to 0 or +Inf or its
+    zig-zag code does not fit; any other bin carries its payload word."""
+    q = RelQuantizer(bound, dtype=dtype, math_impl=impl)
+    first, last = _live_bins(q)  # at 1e-6 / 2.3e-16, where bins stop fitting
+    for lo in (first - 100, last - 100):
+        a_lo, a_hi, words = _bin_tables(q, lo, 200)
+        bins = np.arange(lo, lo + 200, dtype=np.int64)
+        live = (bins >= first) & (bins <= last)
+        assert ((a_lo <= a_hi) == live).all()
+        assert live.any() and not live.all()
+        payload = (ref_zigzag(bins[live]) + np.uint64(1)) << np.uint64(1)
+        assert np.array_equal(words[live], payload.astype(q.layout.uint_dtype))
+    # the span the route can meet, one bin value past the last live bin
+    span = _GROUP // _LANES_PER_BIN
+    a_lo, a_hi, _ = _bin_tables(q, last + 1 - span, span + 1)
+    assert (a_lo[:-1] <= a_hi[:-1]).all() and a_lo[-1] > a_hi[-1]
 
 
 @pytest.mark.parametrize("impl", IMPLS)
@@ -490,3 +713,29 @@ def test_batch_paths_allocate_tile_scratch_only():
         tracemalloc.stop()
     assert encode_peak < budget, f"encode peak {encode_peak / 2**20:.1f} MiB"
     assert decode_peak < budget, f"decode peak {decode_peak / 2**20:.1f} MiB"
+
+
+def test_per_bin_route_allocates_tile_scratch_only(rng, monkeypatch):
+    """float64 groups whose bins span just under a quarter of their lanes
+    take the per-bin route with its largest tables, and encode within the
+    same 4 MiB beyond the caller's buffers."""
+    q = RelQuantizer(1e-3, dtype=np.float64)
+    span = _GROUP // _LANES_PER_BIN - 1
+    groups = 4
+    b = rng.integers(0, span, (groups, _GROUP))
+    b[:, :2] = [0, span - 1]
+    v = np.exp2((b + rng.uniform(-0.4, 0.4, b.shape)) * q._log_step)
+    v = v.reshape(-1, 4096)
+    words = np.empty(v.shape, dtype=np.uint64)
+    seen = _count_checks(monkeypatch)
+    scratch_release()
+    budget = 4 << 20
+    tracemalloc.start()
+    try:
+        q.encode_batch_into(v, words)
+        _, encode_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(seen) == 2 * span * groups
+    assert encode_peak < budget, f"encode peak {encode_peak / 2**20:.2f} MiB"
+    assert np.array_equal(words.reshape(-1), ref_encode(q, v.reshape(-1))[0])

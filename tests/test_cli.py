@@ -1,5 +1,11 @@
 """The ``pfpl`` command-line interface."""
 
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -285,3 +291,90 @@ class TestOutputFile:
         assert main(["decompress", str(good), str(link)]) == 0
         assert link.is_symlink()
         assert target.stat().st_size == 300_000 * 4
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_COMMANDS = ["compress", "decompress"]
+
+
+class TestStreamedOutput:
+    """Both commands write into a pipe, a FIFO or ``/dev/stdout``
+    exactly the bytes they write into a regular file; the status line
+    never lands among them."""
+
+    @pytest.fixture
+    def files(self, tmp_path, raw_file):
+        path, _ = raw_file
+        stream = tmp_path / "field.pfpl"
+        assert main(self._args("compress", path, stream, stream)) == 0
+        return path, stream
+
+    @staticmethod
+    def _args(cmd, raw, stream, out):
+        if cmd == "compress":
+            return ["compress", str(raw), str(out), "--mode", "rel",
+                    "--bound", "1e-3"]
+        return ["decompress", str(stream), str(out)]
+
+    @staticmethod
+    def _expected(cmd, stream):
+        from repro import decompress
+
+        data = stream.read_bytes()
+        return data if cmd == "compress" else decompress(data).tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    @pytest.mark.parametrize("cmd", _COMMANDS)
+    def test_into_a_fifo(self, tmp_path, files, cmd, capsys):
+        raw, stream = files
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        got = []
+
+        def drain():
+            with open(fifo, "rb") as fh:
+                got.append(fh.read())
+
+        reader = threading.Thread(target=drain, daemon=True)
+        reader.start()
+        try:
+            capsys.readouterr()
+            assert main(self._args(cmd, raw, stream, fifo)) == 0
+        finally:
+            if reader.is_alive() and not got:
+                # release a reader still waiting for a writer
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert got == [self._expected(cmd, stream)]
+        assert str(raw if cmd == "compress" else stream) in capsys.readouterr().out
+
+    def _run(self, cmd, raw, stream, stdout):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (_SRC, env.get("PYTHONPATH")) if p)
+        return subprocess.run(
+            [sys.executable, "-m", "repro.cli",
+             *self._args(cmd, raw, stream, "/dev/stdout")],
+            stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=300)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"),
+                        reason="needs /dev/stdout")
+    @pytest.mark.parametrize("cmd", _COMMANDS)
+    def test_stdout_into_a_pipe(self, files, cmd):
+        raw, stream = files
+        proc = self._run(cmd, raw, stream, subprocess.PIPE)
+        assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+        assert proc.stdout == self._expected(cmd, stream)
+        assert b"ratio" in proc.stderr or b"reconstructed" in proc.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"),
+                        reason="needs /dev/stdout")
+    @pytest.mark.parametrize("cmd", _COMMANDS)
+    def test_stdout_into_a_regular_file(self, tmp_path, files, cmd):
+        raw, stream = files
+        out = tmp_path / "stdout.bin"
+        with open(out, "wb") as fh:
+            proc = self._run(cmd, raw, stream, fh)
+        assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+        assert out.read_bytes() == self._expected(cmd, stream)
